@@ -9,6 +9,10 @@
 //! "best of" for a distribution), and kernels are reported individually
 //! plus as a basket-wide aggregate.
 //!
+//! Beside the shares, each row prints the core's deterministic issue-stage
+//! work counters ([`loopfrog::IssueWork`]) per simulated cycle: unlike the
+//! sampled times they are exact and host-independent.
+//!
 //! Profiling is core-side state, not configuration: the simulated results
 //! of a profiled run are byte-identical to an unprofiled one.
 
@@ -18,7 +22,7 @@ use crate::RunArtifact;
 use lf_compiler::{annotate, SelectOptions};
 use lf_stats::Json;
 use lf_workloads::Scale;
-use loopfrog::{LoopFrogConfig, LoopFrogCore, ProfileReport};
+use loopfrog::{IssueWork, LoopFrogConfig, LoopFrogCore, ProfileReport};
 use std::path::PathBuf;
 
 /// Options for one `lf-bench profile` invocation.
@@ -39,18 +43,21 @@ impl Default for ProfileOptions {
 }
 
 /// Stage-time accumulator: pools sampled nanoseconds by stage name across
-/// reports while preserving the pipeline's stage order.
+/// reports while preserving the pipeline's stage order, and sums the
+/// issue-stage work counters.
 #[derive(Debug, Default, Clone)]
 struct StagePool {
     stages: Vec<(&'static str, u64)>,
     sampled_ticks: u64,
     total_ticks: u64,
+    work: IssueWork,
 }
 
 impl StagePool {
     fn add(&mut self, report: &ProfileReport) {
         self.sampled_ticks += report.sampled_ticks;
         self.total_ticks += report.total_ticks;
+        self.work += report.work;
         for s in &report.stages {
             match self.stages.iter_mut().find(|(name, _)| *name == s.name) {
                 Some((_, ns)) => *ns += s.sampled_ns,
@@ -90,6 +97,11 @@ impl StagePool {
         j.set("total_ticks", self.total_ticks);
         j.set("sampled_total_ns", total);
         j.set("stages", Json::Arr(stages));
+        let mut work = Json::obj();
+        for (name, v) in self.work.fields() {
+            work.set(name, v);
+        }
+        j.set("work", work);
         j
     }
 }
@@ -123,17 +135,22 @@ pub fn run_profile(opts: &ProfileOptions) -> Json {
     }
 
     // One row per (kernel, config), one column per stage, shares of that
-    // row's sampled stage time; the aggregate row pools everything.
+    // row's sampled stage time, then the work counters per simulated cycle;
+    // the aggregate row pools everything.
     let stage_names: Vec<&'static str> = aggregate.stages.iter().map(|(n, _)| *n).collect();
     let mut header: Vec<&str> = vec!["kernel/config"];
     header.extend(stage_names.iter().copied());
-    header.push("sampled ms");
+    header.extend(["sampled ms", "offers/cy", "parks/cy", "sq steps/cy", "fu rej/cy"]);
     let row_for = |label: &str, pool: &StagePool| -> Vec<String> {
         let mut row = vec![label.to_string()];
         for s in &stage_names {
             row.push(format!("{:5.1}%", pool.share(s) * 100.0));
         }
         row.push(format!("{:.2}", pool.total_ns() as f64 / 1e6));
+        let cycles = pool.total_ticks.max(1) as f64;
+        for (_, v) in pool.work.fields() {
+            row.push(format!("{:.2}", v as f64 / cycles));
+        }
         row
     };
     let mut rows: Vec<Vec<String>> =
@@ -148,7 +165,8 @@ pub fn run_profile(opts: &ProfileOptions) -> Json {
     );
     crate::print_table(&header, &rows);
     println!(
-        "\nsampled {} of {} ticks (1 in {}); shares are of sampled stage time",
+        "\nsampled {} of {} ticks (1 in {}); shares are of sampled stage time; \
+         work counters are exact, per simulated cycle",
         aggregate.sampled_ticks,
         aggregate.total_ticks,
         loopfrog::profiler::SAMPLE_PERIOD
@@ -199,6 +217,10 @@ mod tests {
         );
         let per = profile.get("per_run").expect("per-run pools");
         assert!(per.get("stencil_blur/lf").is_some());
+        let work = agg.get("work").expect("work counters");
+        let get = |k: &str| work.get(k).and_then(Json::as_u64).expect(k);
+        assert!(get("issue_offers") > 0);
+        assert!(get("issue_offers") >= get("disambig_parks") + get("fu_rejects"));
         assert!(per.get("stencil_blur/base").is_some());
     }
 }

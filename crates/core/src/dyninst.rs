@@ -68,6 +68,9 @@ pub(crate) struct DynInst {
     pub store_data: u64,
     /// The store has drained (to SSB or L1D).
     pub drained: bool,
+    /// Loads parked in the issue queue until this store issues or drains
+    /// (see `LoopFrogCore::load_blocker`); freed with the store.
+    pub waiters: Vec<Uid>,
 
     // LoopFrog bookkeeping.
     /// Rename-side region state *after* this instruction, for squash
@@ -115,6 +118,7 @@ impl DynInst {
             eff_addr: None,
             store_data: 0,
             drained: false,
+            waiters: Vec::new(),
             region_after: (None, 0),
             spawned: None,
             is_halting_reattach: false,

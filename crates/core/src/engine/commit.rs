@@ -73,32 +73,33 @@ impl LoopFrogCore<'_> {
 
             // Threadlet-level commit: retire the oldest once finished and
             // fully drained, after the conflict-check delay. A finished
-            // threadlet whose deferred spawn can never fire (e.g. a single
-            // threadlet context) resumes sequential execution at its
-            // continuation instead.
+            // threadlet that will never have a successor resumes sequential
+            // execution at its continuation instead.
             if is_arch && self.ctx[tid].finished && self.ctx[tid].rob.is_empty() {
                 if self.ctx[tid].pending_spawn.is_some() {
                     self.service_pending_spawns();
-                    if self.ctx[tid].pending_spawn.is_some() {
-                        // An architectural threadlet holding a deferred
-                        // spawn is necessarily alone (only its own spawn
-                        // could create younger threadlets), so no context
-                        // will ever free: cancel and resume sequentially
-                        // past the halting reattach.
-                        let p = self.ctx[tid].pending_spawn.take().expect("checked");
+                }
+                // Either the deferred spawn cannot fire (an architectural
+                // threadlet holding one is necessarily alone, so no context
+                // will ever free), or there is no successor at all: a
+                // wrong-path detach replaced the deferred spawn and was
+                // squashed with the child it spawned. Cancel and resume
+                // sequentially past the halting reattach.
+                if self.ctx[tid].pending_spawn.is_some() || self.order.len() == 1 {
+                    if let Some(p) = self.ctx[tid].pending_spawn.take() {
                         p.map.release_all(&mut self.prf);
-                        let t = &mut self.ctx[tid];
-                        t.finished = false;
-                        t.fetch_halted = false;
-                        t.fetch_halt_is_reattach = false;
-                        t.retire_at = None;
-                        t.ren_region = None;
-                        t.ren_iters = 0;
-                        t.fetch_region = None;
-                        t.fetch_iters = 0;
-                        idx += 1;
-                        continue;
                     }
+                    let t = &mut self.ctx[tid];
+                    t.finished = false;
+                    t.fetch_halted = false;
+                    t.fetch_halt_is_reattach = false;
+                    t.retire_at = None;
+                    t.ren_region = None;
+                    t.ren_iters = 0;
+                    t.fetch_region = None;
+                    t.fetch_iters = 0;
+                    idx += 1;
+                    continue;
                 }
                 match self.ctx[tid].retire_at {
                     None => {
@@ -324,6 +325,7 @@ impl LoopFrogCore<'_> {
             d.drained = true;
             d.completed = true;
         }
+        self.wake_parked_loads(uid);
         Ok(DrainOutcome::Done)
     }
 

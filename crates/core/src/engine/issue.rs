@@ -4,20 +4,22 @@
 //! functional unit, compute their result (reading the physical register
 //! file), and schedule a completion event. Loads go through the LSQ
 //! disambiguation rules and the SSB (speculative threadlets) or the L1D
-//! (architectural threadlet); branch resolution happens at completion.
+//! (architectural threadlet); branch resolution happens at completion. A
+//! load that disambiguation blocks parks on the blocking store and is
+//! offered again only once that store issues or drains (DESIGN §10.5).
 
 use super::LoopFrogCore;
 use crate::dyninst::Uid;
 use lf_isa::{emu, Inst, MemSize};
-use lf_uarch::{AccessKind, IssueQueue, PhysReg};
+use lf_uarch::{AccessKind, PhysReg};
 
 /// The `Copy` subset of a [`crate::dyninst::DynInst`] that the issue path
-/// reads. Extracted up front so an issue *attempt* — the IQ re-offers every
-/// ready entry each cycle until its structural hazard clears — costs one
-/// arena lookup and a small register-sized copy instead of a full `DynInst`
-/// clone (which heap-allocates for `iv_capture`).
+/// reads. Extracted up front so an issue *offer* — which may still end in a
+/// park or a functional-unit reject — costs one arena lookup and a small
+/// register-sized copy instead of a full `DynInst` clone (which
+/// heap-allocates for `iv_capture`).
 #[derive(Clone, Copy)]
-struct IssueView {
+pub(super) struct IssueView {
     uid: Uid,
     tid: usize,
     pc: usize,
@@ -26,20 +28,29 @@ struct IssueView {
 }
 
 impl IssueView {
-    fn of(d: &crate::dyninst::DynInst) -> IssueView {
+    pub(super) fn of(d: &crate::dyninst::DynInst) -> IssueView {
         IssueView { uid: d.uid, tid: d.tid, pc: d.pc, inst: d.inst, srcs: d.srcs }
     }
 }
 
 impl LoopFrogCore<'_> {
     /// Issues ready instructions up to the aggregate execution bandwidth.
+    /// The cursor is re-queried after every offer, so a load unparked by a
+    /// store issuing earlier in this pass is offered in this pass too.
     pub(super) fn do_issue(&mut self) {
         // Aggregate issue bandwidth: bounded by total execution pipes.
         let fu = &self.cfg.core.fu;
         let width = fu.int_alu + fu.int_mul_div + fu.fp + fu.load + fu.store;
-        let mut iq = std::mem::replace(&mut self.iq, IssueQueue::new(0));
-        let issued = iq.select(width, |uid, _tid| self.try_issue_one(uid));
-        self.iq = iq;
+        let (mut cursor, mut issued) = (None, 0);
+        while issued < width {
+            let Some(uid) = self.iq.next_ready(cursor) else { break };
+            cursor = Some(uid);
+            self.work.issue_offers += 1;
+            if self.try_issue_one(uid) {
+                self.iq.remove(uid);
+                issued += 1;
+            }
+        }
         self.stats.issued_insts += issued as u64;
     }
 
@@ -49,13 +60,22 @@ impl LoopFrogCore<'_> {
         debug_assert!(!self.slab[uid].issued);
 
         // Loads must pass memory disambiguation before claiming a pipe.
-        if v.inst.is_load() && !self.load_can_issue(v) {
-            return false;
+        if v.inst.is_load() {
+            let mut steps = 0;
+            let blocker = self.load_blocker(v, &mut steps);
+            self.work.sq_scan_steps += steps;
+            if let Some(s) = blocker {
+                self.slab.get_mut(s).expect("blocking store is live").waiters.push(uid);
+                self.iq.park(uid);
+                self.work.disambig_parks += 1;
+                return false;
+            }
         }
 
         let class = v.inst.fu_class();
         let latency = v.inst.exec_latency();
         if !self.fu.try_issue(class, self.cycle, latency) {
+            self.work.fu_rejects += 1;
             return false;
         }
 
@@ -113,6 +133,7 @@ impl LoopFrogCore<'_> {
                     let e = self.slab.get_mut(uid).expect("live");
                     e.issued = true;
                     e.faulted = true;
+                    self.wake_parked_loads(uid);
                     return true;
                 }
             }
@@ -124,6 +145,9 @@ impl LoopFrogCore<'_> {
         e.result = result;
         e.actual_next = actual_next;
         self.completions.schedule(complete_at.max(self.cycle + 1), uid);
+        if v.inst.is_store() {
+            self.wake_parked_loads(uid);
+        }
         if self.observing() {
             self.emit(crate::trace::TraceEvent::Issue {
                 cycle: self.cycle,
@@ -137,16 +161,24 @@ impl LoopFrogCore<'_> {
     /// Memory disambiguation for a load (conservative): every older store in
     /// the same threadlet must have a known address; a fully containing
     /// older store forwards; any partial overlap delays the load until the
-    /// store drains.
-    fn load_can_issue(&self, v: IssueView) -> bool {
+    /// store drains. Returns the store the load must wait for — the
+    /// youngest unissued older store, else the youngest partially
+    /// overlapping one not shadowed by a containing store — or `None` if the
+    /// load may issue. Adds the SQ entries visited to `steps`.
+    ///
+    /// The SQ is uid-ordered, so the stores older than the load are a
+    /// prefix of it. `issued` and `drained` only go from false to true and
+    /// stores drain in order, so the answer stays the same until the
+    /// returned store issues or drains: parking on it is exact. Stores
+    /// mostly issue in order, so waiting on the youngest unissued one wakes
+    /// a load about once instead of once per older store.
+    pub(super) fn load_blocker(&self, v: IssueView, steps: &mut u64) -> Option<Uid> {
         let t = &self.ctx[v.tid];
-        for &suid in t.sq.iter().rev() {
-            if suid >= v.uid {
-                continue;
-            }
-            let s = &self.slab[suid];
-            if !s.issued {
-                return false; // unknown store address
+        let older = t.sq.partition_point(|&s| s < v.uid);
+        for &suid in t.sq.range(..older).rev() {
+            *steps += 1;
+            if !self.slab[suid].issued {
+                return Some(suid); // unknown store address
             }
         }
         // Addresses all known; check for partial overlaps (full containment
@@ -158,10 +190,8 @@ impl LoopFrogCore<'_> {
             }
             _ => unreachable!(),
         };
-        for &suid in t.sq.iter().rev() {
-            if suid >= v.uid {
-                continue;
-            }
+        for &suid in t.sq.range(..older).rev() {
+            *steps += 1;
             let s = &self.slab[suid];
             if s.drained || s.faulted {
                 continue;
@@ -170,13 +200,21 @@ impl LoopFrogCore<'_> {
             let overlap = sa < addr + len && addr < sa + sl;
             let contains = sa <= addr && addr + len <= sa + sl;
             if overlap && !contains {
-                return false; // partial overlap: wait for the drain
+                return Some(suid); // partial overlap: wait for the drain
             }
             if contains {
-                return true; // youngest containing store forwards
+                return None; // youngest containing store forwards
             }
         }
-        true
+        None
+    }
+
+    /// Unparks the loads parked on store `s`: it just issued or drained.
+    pub(super) fn wake_parked_loads(&mut self, s: Uid) {
+        let Some(d) = self.slab.get_mut(s) else { return };
+        for w in std::mem::take(&mut d.waiters) {
+            self.iq.unpark(w);
+        }
     }
 
     /// Executes a load's data access: own-SQ forwarding, then SSB + L1D
@@ -186,10 +224,9 @@ impl LoopFrogCore<'_> {
 
         // Store-to-load forwarding from the youngest containing older store.
         let t = &self.ctx[v.tid];
-        for &suid in t.sq.iter().rev() {
-            if suid >= v.uid {
-                continue;
-            }
+        let older = t.sq.partition_point(|&s| s < v.uid);
+        for &suid in t.sq.range(..older).rev() {
+            self.work.sq_scan_steps += 1;
             let s = &self.slab[suid];
             if s.drained || s.faulted {
                 continue;

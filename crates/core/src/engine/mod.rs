@@ -29,7 +29,7 @@ use crate::conflict::ConflictDetector;
 use crate::deselect::Deselector;
 use crate::dyninst::Uid;
 use crate::packing::PackingPredictors;
-use crate::profiler::{Profiler, Stage};
+use crate::profiler::{IssueWork, Profiler, Stage};
 use crate::ssb::Ssb;
 use crate::stats::{SimResult, SimStats, SimStop};
 use crate::telemetry::{CycleBucket, IntervalSample, IntervalSampler, Telemetry};
@@ -168,6 +168,9 @@ pub struct LoopFrogCore<'p> {
     /// Sampled wall-clock stage profiler (see [`crate::profiler`]); `None`
     /// unless [`LoopFrogCore::enable_profiler`] was called.
     pub(crate) profiler: Option<Profiler>,
+    /// Deterministic issue-stage work counters, reported with the profile
+    /// and kept out of [`SimStats`] so artifacts do not change.
+    pub(crate) work: IssueWork,
     /// When set, [`LoopFrogCore::finish`] reports the flight recorder's
     /// live end-of-run window instead of the pre-squash capture (armed by
     /// [`LoopFrogCore::arm_flight_recorder_live`] for on-demand dumps).
@@ -282,6 +285,7 @@ impl<'p> LoopFrogCore<'p> {
             telem: Telemetry::new(&cfg),
             tracer: None,
             profiler: None,
+            work: IssueWork::default(),
             recorder_live_dump: false,
             halted: false,
             fault: None,
@@ -666,7 +670,7 @@ impl<'p> LoopFrogCore<'p> {
         // Wall-clock data stays out of the deterministic statistics: the
         // report rides alongside them and is rendered only by callers that
         // asked for profiling.
-        let profile = self.profiler.take().map(|p| p.report(self.cycle));
+        let profile = self.profiler.take().map(|p| p.report(self.cycle, self.work));
 
         SimResult {
             stop,

@@ -244,6 +244,11 @@ impl LoopFrogCore<'_> {
         // predicted successor state is exact. Wrong-path detaches cancel
         // the pending entry during squash walk-back.
         let map = self.ctx[tid].map.as_ref().expect("map").clone_with_refs(&mut self.prf);
+        // A still-deferred spawn of an older detach can be replaced here
+        // (commit then resumes its epoch sequentially); release its map.
+        if let Some(old) = self.ctx[tid].pending_spawn.take() {
+            old.map.release_all(&mut self.prf);
+        }
         self.ctx[tid].pending_spawn = Some(crate::threadlet::PendingSpawn {
             region,
             map,

@@ -797,3 +797,49 @@ fn external_write_during_conflicting_speculation() {
     let got = core.mem().read_u64(0x1000 + 60 * 8).unwrap();
     assert_eq!(got, expect, "iteration 60 must observe the post-write ordering");
 }
+
+#[test]
+fn issue_work_counters_balance_on_a_store_heavy_kernel() {
+    // Each iteration's load is independent of the store before it, but
+    // that store waits on a multiply chain, so conservative disambiguation
+    // parks the load on it.
+    let trip = 512;
+    let p = hinted_array_loop(trip, 0, 4);
+    let mut core = LoopFrogCore::new(&p, mem_with_pattern(0x4000), LoopFrogConfig::baseline());
+    core.enable_profiler();
+    let r = core.run().unwrap();
+    let w = r.profile.expect("profiler was enabled").work;
+    assert_eq!(w.issue_offers, r.stats.issued_insts + w.disambig_parks + w.fu_rejects);
+    assert!(w.disambig_parks > 0 && w.sq_scan_steps > 0, "loads must park: {w:?}");
+    // A parked load is offered again only when its store issues: one park
+    // per load, not one per cycle of waiting.
+    assert!(w.disambig_parks <= trip as u64, "{w:?}");
+    // Measured: 6658 offers over 9997 cycles (0.67 per cycle).
+    let per_cycle = w.issue_offers as f64 / r.stats.cycles as f64;
+    assert!(per_cycle < 0.7, "{per_cycle:.3} offers per cycle: {w:?}");
+}
+
+#[test]
+fn load_partially_overlapping_a_store_waits_for_its_drain() {
+    // Each byte store only covers part of the wider load that follows it,
+    // so the store cannot forward: the load parks on it and must be woken
+    // when the store drains at commit.
+    let mut b = ProgramBuilder::new();
+    let head = b.label("head");
+    b.li(reg::x(1), 0);
+    b.li(reg::x(2), 256);
+    b.bind(head);
+    b.store(reg::x(1), reg::x(1), 0x1000, MemSize::B1);
+    b.load(reg::x(3), reg::x(1), 0x1000, MemSize::B8);
+    b.alu(AluOp::Add, reg::x(4), reg::x(4), reg::x(3));
+    b.alui(AluOp::Add, reg::x(1), reg::x(1), 8);
+    b.branch(BranchCond::Lt, reg::x(1), reg::x(2), head);
+    b.halt();
+    let p = b.build().unwrap();
+    differential(&p, mem_with_pattern(0x2000));
+    let mut core = LoopFrogCore::new(&p, mem_with_pattern(0x2000), LoopFrogConfig::baseline());
+    core.enable_profiler();
+    let r = core.run().unwrap();
+    let w = r.profile.expect("profiler was enabled").work;
+    assert!(w.disambig_parks >= 32, "every load parks on its store: {w:?}");
+}

@@ -2,6 +2,7 @@
 //! [`crate::verify`] for the invariant catalogue). Kept in a separate
 //! module so the hot-path stage files only carry one-line hook calls.
 
+use super::issue::IssueView;
 use super::LoopFrogCore;
 use crate::threadlet::CtxState;
 use crate::verify::BoundaryPre;
@@ -9,7 +10,8 @@ use lf_isa::NUM_ARCH_REGS;
 
 impl LoopFrogCore<'_> {
     /// Per-cycle invariants: occupancy conservation, epoch-sorted active
-    /// list, free-context emptiness, and (sampled) SSB ownership.
+    /// list, free-context emptiness, and (sampled) SSB ownership and
+    /// parked-set exactness.
     pub(super) fn verify_tick(&mut self) {
         let (mut rob, mut lq, mut sq) = (0usize, 0usize, 0usize);
         for t in &self.ctx {
@@ -51,10 +53,43 @@ impl LoopFrogCore<'_> {
             self.verify.violation(msg);
         }
 
-        // The SSB scan walks every line; sample it so verify builds stay
-        // usable on long runs (retirement also triggers a full scan).
+        // The SSB and issue-queue scans walk whole structures; sample them
+        // so verify builds stay usable on long runs (retirement also
+        // triggers a full SSB scan).
         if self.cycle.is_multiple_of(64) {
             self.verify_ssb();
+            self.verify_parked();
+        }
+    }
+
+    /// Parked-set exactness: the IQ's ready set is exactly its unparked
+    /// entries with no waiting source, and every parked entry is a load
+    /// that disambiguation still blocks, listed in its blocker's waiters.
+    fn verify_parked(&mut self) {
+        let mut bad = Vec::new();
+        if let Err(msg) = self.iq.check_ready_set() {
+            bad.push(msg);
+        }
+        for uid in self.iq.parked() {
+            let Some(d) = self.slab.get(uid) else {
+                bad.push(format!("parked {uid:?} is not in flight"));
+                continue;
+            };
+            if !d.inst.is_load() {
+                bad.push(format!("parked {uid:?} is not a load: {:?}", d.inst));
+                continue;
+            }
+            match self.load_blocker(IssueView::of(d), &mut 0) {
+                None => bad.push(format!("parked load {uid:?} is no longer blocked")),
+                Some(s) if !self.slab[s].waiters.contains(&uid) => {
+                    bad.push(format!("parked load {uid:?} is missing from blocker {s:?}'s waiters"))
+                }
+                Some(_) => {}
+            }
+        }
+        for msg in bad {
+            let msg = format!("parked-set: {msg} at cycle {}", self.cycle);
+            self.verify.violation(msg);
         }
     }
 

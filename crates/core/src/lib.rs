@@ -78,7 +78,7 @@ mod wheel;
 pub use config::{LoopFrogConfig, PackingConfig, SsbConfig};
 pub use deselect::DeselectConfig;
 pub use engine::{simulate, LoopFrogCore, SimError};
-pub use profiler::{ProfileReport, StageProfile};
+pub use profiler::{IssueWork, ProfileReport, StageProfile};
 pub use stats::{SimResult, SimStats, SimStop};
 pub use telemetry::{CycleAccounting, CycleBucket, IntervalSample, TelemetryConfig};
 pub use trace::{

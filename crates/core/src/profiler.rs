@@ -55,6 +55,43 @@ pub struct StageProfile {
     pub sampled_ns: u64,
 }
 
+/// Deterministic work counters of the issue stage. Unlike the sampled
+/// timings they are exact and host-independent. Every offer ends in exactly
+/// one of issue, park or functional-unit reject, so `issue_offers ==
+/// issued_insts + disambig_parks + fu_rejects`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IssueWork {
+    /// Ready issue-queue entries offered to the issue logic.
+    pub issue_offers: u64,
+    /// Offers of loads that memory disambiguation parked on a store.
+    pub disambig_parks: u64,
+    /// Store-queue entries visited by disambiguation and forwarding.
+    pub sq_scan_steps: u64,
+    /// Offers rejected for want of a free functional unit.
+    pub fu_rejects: u64,
+}
+
+impl IssueWork {
+    /// The counters as `(name, value)` pairs, in declaration order.
+    pub fn fields(&self) -> [(&'static str, u64); 4] {
+        [
+            ("issue_offers", self.issue_offers),
+            ("disambig_parks", self.disambig_parks),
+            ("sq_scan_steps", self.sq_scan_steps),
+            ("fu_rejects", self.fu_rejects),
+        ]
+    }
+}
+
+impl std::ops::AddAssign for IssueWork {
+    fn add_assign(&mut self, o: IssueWork) {
+        self.issue_offers += o.issue_offers;
+        self.disambig_parks += o.disambig_parks;
+        self.sq_scan_steps += o.sq_scan_steps;
+        self.fu_rejects += o.fu_rejects;
+    }
+}
+
 /// The self-profiler's result: per-stage wall-clock shares estimated from
 /// sampled ticks. Shares are relative to the total sampled stage time;
 /// extrapolate absolute cost with `sampled_ns * total_ticks /
@@ -67,6 +104,8 @@ pub struct ProfileReport {
     pub total_ticks: u64,
     /// Per-stage sampled totals, in tick order.
     pub stages: Vec<StageProfile>,
+    /// Issue-stage work counters over the whole run.
+    pub work: IssueWork,
 }
 
 impl ProfileReport {
@@ -107,6 +146,11 @@ impl ProfileReport {
         j.set("total_ticks", Json::Num(self.total_ticks as f64));
         j.set("sampled_total_ns", Json::Num(total as f64));
         j.set("stages", Json::Arr(stages));
+        let mut work = Json::obj();
+        for (name, v) in self.work.fields() {
+            work.set(name, Json::Num(v as f64));
+        }
+        j.set("work", work);
         j
     }
 }
@@ -139,10 +183,11 @@ impl Profiler {
         self.sampled_ticks += 1;
     }
 
-    pub(crate) fn report(&self, total_ticks: u64) -> ProfileReport {
+    pub(crate) fn report(&self, total_ticks: u64, work: IssueWork) -> ProfileReport {
         ProfileReport {
             sampled_ticks: self.sampled_ticks,
             total_ticks,
+            work,
             stages: STAGE_NAMES
                 .iter()
                 .zip(self.stage_ns.iter())
@@ -172,7 +217,7 @@ mod tests {
         p.record(Stage::Issue, 500);
         p.record(Stage::Fetch, 200);
         p.count_tick();
-        let r = p.report(64);
+        let r = p.report(64, IssueWork::default());
         assert_eq!(r.sampled_ticks, 1);
         assert_eq!(r.total_ticks, 64);
         assert_eq!(r.sampled_total_ns(), 1000);
@@ -185,7 +230,7 @@ mod tests {
 
     #[test]
     fn empty_report_has_zero_shares() {
-        let r = Profiler::new().report(0);
+        let r = Profiler::new().report(0, IssueWork::default());
         assert_eq!(r.share("commit"), 0.0);
         assert_eq!(r.sampled_total_ns(), 0);
     }
@@ -195,11 +240,12 @@ mod tests {
         let mut p = Profiler::new();
         p.record(Stage::Rename, 10);
         p.count_tick();
-        let j = p.report(64).to_json();
+        let j = p.report(64, IssueWork::default()).to_json();
         let s = j.to_string_pretty();
         assert!(s.contains("\"sample_period\""));
         assert!(s.contains("\"stages\""));
         assert!(s.contains("\"rename\""));
         assert!(s.contains("\"share\""));
+        assert!(s.contains("\"issue_offers\""));
     }
 }

@@ -24,6 +24,7 @@ use lf_bench::engine::journal::{replay_and_truncate, JOURNAL_FILE};
 use lf_stats::Json;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_lf-bench");
@@ -38,7 +39,12 @@ fn scratch_dir(tag: &str) -> PathBuf {
     // failure reports of a red run can be uploaded as artifacts.
     let root =
         std::env::var_os("LF_CRASH_SCRATCH").map(PathBuf::from).unwrap_or_else(std::env::temp_dir);
-    let dir = root.join(format!("lf-bench-crash-test-{}-{tag}", std::process::id()));
+    // Tests run in parallel and several share a tag (every `reference()`
+    // call), so each call gets its own directory: a shared one would be
+    // wiped by one test while another's campaign writes into it.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let n = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir = root.join(format!("lf-bench-crash-test-{}-{n}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
