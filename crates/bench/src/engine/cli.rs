@@ -924,7 +924,8 @@ fn render_telemetry(output: &EngineOutput) -> String {
 /// appending the `wrote <path>` confirmations to `stdout` (they are part
 /// of the campaign's byte-compared output). Stops at the first failure.
 fn write_artifacts(output: &EngineOutput, dir: &Path, stdout: &mut String) -> Result<(), String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("error: cannot create {}: {e}", dir.display()))?;
+    std::fs::create_dir_all(dir)
+        .map_err(|e| format!("error: cannot create {}: {e}", dir.display()))?;
     for s in &output.scenarios {
         let path = dir.join(format!("{}.json", s.name));
         write_json(&s.artifact, &path)

@@ -551,8 +551,7 @@ mod tests {
         let mut body = Json::obj();
         body.set("fingerprint", Json::Str(format!("{:016x}", 23u64)));
         body.set("pid", Json::from(u64::from(dead)));
-        std::fs::write(dir.join(format!("{:016x}.lease", 23u64)), body.to_string_pretty())
-            .unwrap();
+        std::fs::write(dir.join(format!("{:016x}.lease", 23u64)), body.to_string_pretty()).unwrap();
 
         match leases.try_claim_rounds(23, 1).unwrap() {
             Claim::Contended { age, holder } => {

@@ -134,13 +134,11 @@ impl Request {
             })
             .transpose()?
             .unwrap_or_default();
-        let get_bool =
-            |key: &str| matches!(j.get(key), Some(Json::Bool(b)) if *b);
+        let get_bool = |key: &str| matches!(j.get(key), Some(Json::Bool(b)) if *b);
         let get_usize = |key: &str, default: usize| {
             j.get(key).and_then(Json::as_u64).map(|n| n as usize).unwrap_or(default)
         };
-        let get_str =
-            |key: &str| j.get(key).and_then(Json::as_str).map(str::to_string);
+        let get_str = |key: &str| j.get(key).and_then(Json::as_str).map(str::to_string);
         Ok(Request {
             names,
             all: get_bool("all"),
@@ -390,6 +388,10 @@ mod imp {
         eprintln!("serve: request {id}: {msg} (exit {exit})");
     }
 
+    /// A campaign `execute` ran: its rendering, the engine output, the
+    /// per-phase totals in µs, and whether the plan index was warm.
+    type Executed = (FinishedCampaign, EngineOutput, Vec<(String, u64)>, bool);
+
     /// Runs one campaign with the shared warm state and renders it with
     /// the same back half as `lf-bench run`.
     fn execute(
@@ -398,7 +400,7 @@ mod imp {
         opts: &ServeOptions,
         cache: &DiskCache,
         warm: &WarmEngine,
-    ) -> Result<(FinishedCampaign, EngineOutput, Vec<(String, u64)>, bool), (i32, String)> {
+    ) -> Result<Executed, (i32, String)> {
         let scale = match request.scale.as_str() {
             "smoke" => Scale::Smoke,
             "eval" => Scale::Eval,
@@ -443,10 +445,8 @@ mod imp {
             run_scenarios_warm(&refs, &eopts, Some(warm))
         };
         let json_dir = request.json_dir.as_ref().map(PathBuf::from);
-        let failures = json_dir
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("results"))
-            .join("failures.json");
+        let failures =
+            json_dir.clone().unwrap_or_else(|| PathBuf::from("results")).join("failures.json");
         let finished = crate::engine::cli::finish_campaign(
             &output,
             refs.len() > 1,
@@ -550,7 +550,11 @@ mod imp {
                     // The raw record goes to stderr so scripts can parse
                     // simulated/disk_hits/exit without scraping prose.
                     eprintln!("{record}");
-                    return parsed.get("exit").and_then(Json::as_u64).map(|e| e as i32).unwrap_or(3);
+                    return parsed
+                        .get("exit")
+                        .and_then(Json::as_u64)
+                        .map(|e| e as i32)
+                        .unwrap_or(3);
                 }
                 // status / phases / future records: raw JSON on stderr.
                 _ => eprintln!("{record}"),

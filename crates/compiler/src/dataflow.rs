@@ -3,7 +3,8 @@
 
 use crate::cfg::Cfg;
 use crate::loops::Loop;
-use lf_isa::{Inst, Program, NUM_ARCH_REGS};
+pub use lf_isa::RegSet;
+use lf_isa::{Inst, Program};
 use std::collections::BTreeSet;
 
 /// Caller-saved registers clobbered by a call under the kernel calling
@@ -60,68 +61,6 @@ pub fn df_uses(inst: &Inst) -> RegSet {
         s.insert(u.index());
     }
     s
-}
-
-/// A register set, as a fixed-width bitmask over architectural registers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RegSet(pub u64);
-
-const _: () = assert!(NUM_ARCH_REGS <= 64, "RegSet assumes ≤64 architectural registers");
-
-impl RegSet {
-    /// The empty set.
-    pub fn empty() -> RegSet {
-        RegSet(0)
-    }
-
-    /// Inserts a register index.
-    pub fn insert(&mut self, r: usize) {
-        self.0 |= 1 << r;
-    }
-
-    /// Whether `r` is in the set.
-    pub fn contains(&self, r: usize) -> bool {
-        self.0 >> r & 1 == 1
-    }
-
-    /// Set union.
-    pub fn union(self, o: RegSet) -> RegSet {
-        RegSet(self.0 | o.0)
-    }
-
-    /// Set intersection.
-    pub fn inter(self, o: RegSet) -> RegSet {
-        RegSet(self.0 & o.0)
-    }
-
-    /// Set difference `self \ o`.
-    pub fn minus(self, o: RegSet) -> RegSet {
-        RegSet(self.0 & !o.0)
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Iterates member register indices.
-    pub fn iter(self) -> impl Iterator<Item = usize> {
-        let mut bits = self.0;
-        std::iter::from_fn(move || {
-            if bits == 0 {
-                None
-            } else {
-                let i = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(i)
-            }
-        })
-    }
-
-    /// Number of members.
-    pub fn len(self) -> usize {
-        self.0.count_ones() as usize
-    }
 }
 
 /// Per-instruction and per-block def/use plus block liveness.

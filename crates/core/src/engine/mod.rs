@@ -362,6 +362,16 @@ impl<'p> LoopFrogCore<'p> {
         *self.order.front().expect("at least one active threadlet")
     }
 
+    /// A copy of `order`, old → young. Stages that can spawn mid-walk
+    /// iterate the copy, so a child spawned this cycle is not visited.
+    pub(crate) fn order_snapshot(&self) -> TidList {
+        let mut v = TidList::new();
+        for &t in &self.order {
+            v.push(t);
+        }
+        v
+    }
+
     /// The active context ids strictly younger than `tid`, old → young.
     pub(crate) fn younger_than(&self, tid: usize) -> TidList {
         let mut v = TidList::new();

@@ -13,8 +13,8 @@ impl LoopFrogCore<'_> {
     /// Renames up to `width` instructions across threadlets, oldest first.
     pub(super) fn do_rename(&mut self) {
         let mut budget = self.cfg.core.width;
-        let order: Vec<usize> = self.order.iter().copied().collect();
-        for tid in order {
+        let order = self.order_snapshot();
+        for &tid in order.as_slice() {
             while budget > 0 {
                 if self.ctx[tid].state != CtxState::Active || self.ctx[tid].fetch_queue.is_empty() {
                     break;
@@ -42,30 +42,31 @@ impl LoopFrogCore<'_> {
         let width = self.cfg.core.width;
         let (rob_res, win_res, prf_res) =
             if is_arch { (0, 0, 1) } else { (2 * width, width, 2 * width) };
-        let f = self.ctx[tid].fetch_queue.front().expect("checked nonempty").clone();
+        let inst = self.ctx[tid].fetch_queue.front().expect("checked nonempty").inst;
         if self.rob_occupancy + rob_res >= self.cfg.core.rob_size {
             self.rename_stall.rob = true;
             return false;
         }
-        let needs_def = f.inst.def().is_some();
+        let needs_def = inst.def().is_some();
         if needs_def && self.prf.free_count() < prf_res {
             return false;
         }
-        let needs_exec = crate::dyninst::inst_needs_execute(&f.inst);
+        let needs_exec = crate::dyninst::inst_needs_execute(&inst);
         if needs_exec && self.iq.len() + win_res >= self.cfg.core.iq_size {
             self.rename_stall.iq = true;
             return false;
         }
-        if f.inst.is_load() && self.lq_occupancy + win_res >= self.cfg.core.lq_size {
+        if inst.is_load() && self.lq_occupancy + win_res >= self.cfg.core.lq_size {
             self.rename_stall.lsq = true;
             return false;
         }
-        if f.inst.is_store() && self.sq_occupancy + win_res >= self.cfg.core.sq_size {
+        if inst.is_store() && self.sq_occupancy + win_res >= self.cfg.core.sq_size {
             self.rename_stall.lsq = true;
             return false;
         }
 
-        self.ctx[tid].fetch_queue.pop_front();
+        // Accepted: only now does the entry leave the fetch queue.
+        let f = self.ctx[tid].fetch_queue.pop_front().expect("checked nonempty");
         let mut d = DynInst::new(tid, &f);
 
         // --- register rename ---
@@ -85,10 +86,10 @@ impl LoopFrogCore<'_> {
             for (i, u) in f.inst.uses().iter().enumerate() {
                 let Some(u) = u else { continue };
                 let a = u.index();
-                if !t.iter_written.contains(&a) {
+                if !t.iter_written.contains(a) {
                     t.iter_rbw.insert(a);
                 }
-                if !t.written_regs.contains(&a) && t.read_before_write.insert(a) {
+                if !t.written_regs.contains(a) && t.read_before_write.insert(a) {
                     d.epoch_first_rbw[i] = Some(a);
                 }
             }
@@ -201,14 +202,14 @@ impl LoopFrogCore<'_> {
             let rbw = std::mem::take(&mut t.iter_rbw);
             let size = t.insts_since_detach;
             t.insts_since_detach = 0;
-            self.packing.observe_iteration(region, &written, &rbw, size);
+            self.packing.observe_iteration(region, written, rbw, size);
         }
-        // Capture the current IV mappings; the value predictor trains at
-        // this detach's commit, when the values are guaranteed ready.
+        // Capture the current IV mappings, in ascending register order; the
+        // value predictor trains at this detach's commit, when the values
+        // are guaranteed ready.
         if let Some(ivs) = self.packing.ivs(region) {
             let map = self.ctx[tid].map.as_ref().expect("map");
-            d.iv_capture = ivs.iter().map(|&a| (a, map.get(a))).collect();
-            d.iv_capture.sort_by_key(|(a, _)| *a);
+            d.iv_capture = ivs.iter().map(|a| (a, map.get(a))).collect();
         }
 
         if already_in_region {

@@ -843,3 +843,40 @@ fn load_partially_overlapping_a_store_waits_for_its_drain() {
     let w = r.profile.expect("profiler was enabled").work;
     assert!(w.disambig_parks >= 32, "every load parks on its store: {w:?}");
 }
+
+#[test]
+fn work_counters_stay_zero_without_stores_and_bounded_with_them() {
+    // A load-and-add reduction with no store anywhere: disambiguation has
+    // no store to walk or park on, under either configuration.
+    let mut b = ProgramBuilder::new();
+    let head = b.label("head");
+    b.li(reg::x(1), 0);
+    b.li(reg::x(2), 512 * 8);
+    b.bind(head);
+    b.load(reg::x(3), reg::x(1), 0x1000, MemSize::B8);
+    b.alu(AluOp::Add, reg::x(4), reg::x(4), reg::x(3));
+    b.alui(AluOp::Add, reg::x(1), reg::x(1), 8);
+    b.branch(BranchCond::Lt, reg::x(1), reg::x(2), head);
+    b.halt();
+    let p = b.build().unwrap();
+    for cfg in [LoopFrogConfig::baseline(), LoopFrogConfig::default()] {
+        let mut core = LoopFrogCore::new(&p, mem_with_pattern(0x2000), cfg);
+        core.enable_profiler();
+        let r = core.run().unwrap();
+        let w = r.profile.expect("profiler was enabled").work;
+        assert!(w.issue_offers > 0, "{w:?}");
+        assert_eq!((w.sq_scan_steps, w.disambig_parks), (0, 0), "{w:?}");
+    }
+
+    // With stores in flight, every offer walks at most one SQ's worth of
+    // entries on average.
+    let cfg = LoopFrogConfig::baseline();
+    let sq_size = cfg.core.sq_size as u64;
+    let p = hinted_array_loop(512, 0, 4);
+    let mut core = LoopFrogCore::new(&p, mem_with_pattern(0x4000), cfg);
+    core.enable_profiler();
+    let r = core.run().unwrap();
+    let w = r.profile.expect("profiler was enabled").work;
+    assert!(w.sq_scan_steps > 0, "{w:?}");
+    assert!(w.sq_scan_steps <= w.issue_offers * sq_size, "{w:?}");
+}

@@ -60,4 +60,4 @@ pub use inst::{AluOp, BranchCond, FpuOp, FuClass, HintKind, Inst, MemSize, Opera
 pub use mem::{MemError, Memory};
 pub use parse::{parse_program, ParseError};
 pub use program::Program;
-pub use reg::{Reg, NUM_ARCH_REGS, NUM_FP_REGS, NUM_INT_REGS};
+pub use reg::{Reg, RegSet, NUM_ARCH_REGS, NUM_FP_REGS, NUM_INT_REGS};

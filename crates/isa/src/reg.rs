@@ -112,6 +112,100 @@ pub const SP: Reg = Reg(2);
 /// Conventional link register (`x1`).
 pub const RA: Reg = Reg(1);
 
+/// A set of architectural registers, as a bitmask over flat register
+/// indices. Iteration is in ascending index order.
+///
+/// # Examples
+///
+/// ```
+/// use lf_isa::RegSet;
+///
+/// let mut s = RegSet::empty();
+/// assert!(s.insert(9));
+/// assert!(!s.insert(9), "already present");
+/// s.insert(3);
+/// assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 9]);
+/// s.remove(9);
+/// assert!(!s.contains(9));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RegSet(pub u64);
+
+const _: () = assert!(NUM_ARCH_REGS <= 64, "RegSet assumes ≤64 architectural registers");
+
+impl RegSet {
+    /// The empty set.
+    pub fn empty() -> RegSet {
+        RegSet(0)
+    }
+
+    /// Inserts a register index; returns whether it was newly inserted.
+    #[inline]
+    pub fn insert(&mut self, r: usize) -> bool {
+        let bit = 1 << r;
+        let new = self.0 & bit == 0;
+        self.0 |= bit;
+        new
+    }
+
+    /// Removes a register index.
+    #[inline]
+    pub fn remove(&mut self, r: usize) {
+        self.0 &= !(1 << r);
+    }
+
+    /// Empties the set.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.0 = 0;
+    }
+
+    /// Whether `r` is in the set.
+    #[inline]
+    pub fn contains(&self, r: usize) -> bool {
+        self.0 >> r & 1 == 1
+    }
+
+    /// Set union.
+    pub fn union(self, o: RegSet) -> RegSet {
+        RegSet(self.0 | o.0)
+    }
+
+    /// Set intersection.
+    pub fn inter(self, o: RegSet) -> RegSet {
+        RegSet(self.0 & o.0)
+    }
+
+    /// Set difference `self \ o`.
+    pub fn minus(self, o: RegSet) -> RegSet {
+        RegSet(self.0 & !o.0)
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Iterates member register indices in ascending order.
+    pub fn iter(self) -> impl Iterator<Item = usize> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                None
+            } else {
+                let i = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(i)
+            }
+        })
+    }
+
+    /// Number of members.
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,5 +233,42 @@ mod tests {
     #[test]
     fn ordering_is_flat_index() {
         assert!(x(31) < f(0));
+    }
+
+    /// Property test pinning [`RegSet`] to `HashSet<usize>` semantics under
+    /// a random insert/remove/contains/clear schedule over all 64
+    /// registers, including `insert`'s return value and ascending `iter`.
+    #[test]
+    fn reg_set_matches_hashset() {
+        use std::collections::HashSet;
+        let mut seed: u64 = 0x5E7_4E65;
+        let mut rnd = move |m: u64| {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (seed >> 33) % m
+        };
+        for _trial in 0..50 {
+            let mut rs = RegSet::empty();
+            let mut model: HashSet<usize> = HashSet::new();
+            for _ in 0..400 {
+                let r = rnd(NUM_ARCH_REGS as u64) as usize;
+                match rnd(16) {
+                    0 => {
+                        rs.clear();
+                        model.clear();
+                    }
+                    1..=6 => assert_eq!(rs.insert(r), model.insert(r), "insert diverged on {r}"),
+                    7..=10 => {
+                        rs.remove(r);
+                        model.remove(&r);
+                    }
+                    _ => assert_eq!(rs.contains(r), model.contains(&r), "contains diverged on {r}"),
+                }
+                assert_eq!(rs.len(), model.len());
+                assert_eq!(rs.is_empty(), model.is_empty());
+                let mut sorted: Vec<usize> = model.iter().copied().collect();
+                sorted.sort_unstable();
+                assert_eq!(rs.iter().collect::<Vec<_>>(), sorted, "iter must be ascending");
+            }
+        }
     }
 }

@@ -16,7 +16,7 @@
 //! the same pass.
 
 use crate::rename::{PhysReg, PhysRegFile};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 use std::ops::Bound;
 
@@ -42,7 +42,10 @@ pub struct IssueQueue<K: Copy + Ord + Debug = u64> {
     entries: BTreeMap<K, Entry>,
     /// Exactly the entries with `waiting == 0` and not parked.
     ready: BTreeSet<K>,
-    waiters: HashMap<PhysReg, Vec<K>>,
+    /// Consumers waiting on each physical register, indexed by
+    /// `PhysReg.0` and grown on demand. Wakeup empties a list but keeps its
+    /// capacity. A list may still name squashed entries; wakeup skips them.
+    waiters: Vec<Vec<K>>,
 }
 
 impl<K: Copy + Ord + Debug> IssueQueue<K> {
@@ -52,7 +55,7 @@ impl<K: Copy + Ord + Debug> IssueQueue<K> {
             capacity,
             entries: BTreeMap::new(),
             ready: BTreeSet::new(),
-            waiters: HashMap::new(),
+            waiters: Vec::new(),
         }
     }
 
@@ -92,7 +95,11 @@ impl<K: Copy + Ord + Debug> IssueQueue<K> {
         for s in srcs.iter().flatten() {
             if !prf.is_ready(*s) {
                 waiting += 1;
-                self.waiters.entry(*s).or_default().push(uid);
+                let i = s.0 as usize;
+                if i >= self.waiters.len() {
+                    self.waiters.resize_with(i + 1, Vec::new);
+                }
+                self.waiters[i].push(uid);
             }
         }
         let prev = self.entries.insert(uid, Entry { tid, srcs, waiting, parked: false });
@@ -106,18 +113,20 @@ impl<K: Copy + Ord + Debug> IssueQueue<K> {
     /// Wakes consumers of physical register `p` (its producer completed).
     /// A parked consumer stays out of the ready set until it is unparked.
     pub fn wakeup(&mut self, p: PhysReg) {
-        if let Some(uids) = self.waiters.remove(&p) {
-            for uid in uids {
-                if let Some(e) = self.entries.get_mut(&uid) {
-                    // An entry may wait on `p` through both source slots.
-                    let n = e.srcs.iter().flatten().filter(|s| **s == p).count() as u8;
-                    e.waiting = e.waiting.saturating_sub(n.max(1).min(e.waiting));
-                    if e.is_ready() {
-                        self.ready.insert(uid);
-                    }
+        let Some(list) = self.waiters.get_mut(p.0 as usize) else { return };
+        let mut uids = std::mem::take(list);
+        for &uid in &uids {
+            if let Some(e) = self.entries.get_mut(&uid) {
+                // An entry may wait on `p` through both source slots.
+                let n = e.srcs.iter().flatten().filter(|s| **s == p).count() as u8;
+                e.waiting = e.waiting.saturating_sub(n.max(1).min(e.waiting));
+                if e.is_ready() {
+                    self.ready.insert(uid);
                 }
             }
         }
+        uids.clear();
+        self.waiters[p.0 as usize] = uids;
     }
 
     /// The oldest ready entry strictly younger than `cursor` (the oldest
@@ -401,6 +410,68 @@ mod tests {
         prf.write(a, 1);
         iq.wakeup(a);
         assert_eq!(pass(&mut iq, 4, |_, _| true), vec![1]);
+    }
+
+    #[test]
+    fn same_register_in_both_slots_beside_another_waiter() {
+        let mut prf = prf_with(4);
+        let a = prf.alloc().unwrap();
+        let b = prf.alloc().unwrap();
+        let mut iq = IssueQueue::new(8);
+        iq.insert(1, 0, [Some(a), Some(a)], &prf);
+        iq.insert(2, 0, [Some(a), Some(b)], &prf);
+        assert_eq!(iq.check_ready_set(), Ok(()));
+        prf.write(a, 1);
+        iq.wakeup(a);
+        // Entry 1 is listed twice under `a`; one wakeup clears both slots.
+        assert_eq!(iq.next_ready(None), Some(1));
+        assert_eq!(iq.next_ready(Some(1)), None, "entry 2 still waits on b");
+        assert_eq!(iq.check_ready_set(), Ok(()));
+        iq.wakeup(a); // the list was emptied: a second wakeup changes nothing
+        assert_eq!(iq.next_ready(Some(1)), None);
+        prf.write(b, 2);
+        iq.wakeup(b);
+        assert_eq!(iq.check_ready_set(), Ok(()));
+        assert_eq!(pass(&mut iq, 4, |_, _| true), vec![1, 2]);
+    }
+
+    #[test]
+    fn wakeup_of_an_unwaited_or_out_of_table_register_is_a_no_op() {
+        let mut prf = prf_with(4);
+        let a = prf.alloc().unwrap();
+        let b = prf.alloc().unwrap();
+        let mut iq = IssueQueue::new(8);
+        iq.insert(1, 0, [Some(a), None], &prf);
+        iq.wakeup(b); // never waited on
+        iq.wakeup(PhysReg(1_000)); // beyond the wakeup table
+        assert_eq!(iq.next_ready(None), None);
+        assert_eq!(iq.check_ready_set(), Ok(()));
+        prf.write(a, 1);
+        iq.wakeup(a);
+        assert_eq!(iq.next_ready(None), Some(1));
+        assert_eq!(iq.check_ready_set(), Ok(()));
+    }
+
+    #[test]
+    fn stale_uid_in_a_recycled_register_list_is_ignored() {
+        let mut prf = prf_with(4);
+        let a = prf.alloc().unwrap();
+        let mut iq = IssueQueue::new(8);
+        // Entry 1 waits on `a`, then its producer and it are squashed
+        // before `a` completes; `a` goes back to the free list.
+        iq.insert(1, 1, [Some(a), None], &prf);
+        iq.squash(|_, tid| tid == 1);
+        assert_eq!(iq.check_ready_set(), Ok(()));
+        prf.release(a);
+        let a2 = prf.alloc().unwrap();
+        assert_eq!(a2, a, "the register is recycled");
+        iq.insert(2, 0, [Some(a2), None], &prf);
+        iq.insert(3, 0, [Some(a2), None], &prf);
+        prf.write(a2, 5);
+        iq.wakeup(a2); // the list still names squashed uid 1
+        assert_eq!(iq.len(), 2);
+        assert_eq!(iq.check_ready_set(), Ok(()));
+        assert_eq!(pass(&mut iq, 4, |_, _| true), vec![2, 3]);
     }
 
     #[test]

@@ -255,8 +255,9 @@ fn concurrent_submissions_share_the_warm_cache_byte_identically() {
     assert_eq!(done.get("plan_warm"), Some(&Json::Bool(true)), "the plan index is warm: {done:?}");
     let phases = record_of(&err, "phases");
     let render = counter(&phases, "render_us");
-    let rest =
-        counter(&phases, "plan_us") + counter(&phases, "prepare_us") + counter(&phases, "simulate_us");
+    let rest = counter(&phases, "plan_us")
+        + counter(&phases, "prepare_us")
+        + counter(&phases, "simulate_us");
     assert!(
         render > rest,
         "a fully-cached request is render-dominated: render {render} µs vs plan+prepare+simulate {rest} µs in {phases:?}"
