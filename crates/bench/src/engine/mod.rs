@@ -177,13 +177,32 @@ impl EngineCtx<'_> {
         self.suite
     }
 
+    /// The preparation of a `(kernel, hinting)` pair: the prepared kernel,
+    /// the failure record if its profile/annotate step panicked, or `None`
+    /// if it was never requested. Hashes `hinting` once and looks both
+    /// maps up by key. (`kernel` lives as long as the returned borrow so
+    /// that a `(&str, u64)` probe can stand in for the maps'
+    /// `(&'static str, u64)` keys.)
+    fn preparation<'a>(
+        &'a self,
+        kernel: &'a str,
+        hinting: &Hinting,
+    ) -> Option<Result<&'a Arc<PreparedKernel>, &'a Arc<RunFailure>>> {
+        let key = (kernel, hinting.fingerprint());
+        match self.prepared.get(&key) {
+            Some(prep) => Some(Ok(prep)),
+            None => self.prep_failures.get(&key).map(Err),
+        }
+    }
+
     /// The prepared kernel for a `(kernel, hinting)` pair, or `None` if
     /// its preparation failed (or was never requested).
-    pub fn try_prepared(&self, kernel: &str, hinting: &Hinting) -> Option<&Arc<PreparedKernel>> {
-        self.prepared
-            .iter()
-            .find(|((name, h), _)| *name == kernel && *h == hinting.fingerprint())
-            .map(|(_, p)| p)
+    pub fn try_prepared<'a>(
+        &'a self,
+        kernel: &'a str,
+        hinting: &Hinting,
+    ) -> Option<&'a Arc<PreparedKernel>> {
+        self.preparation(kernel, hinting)?.ok()
     }
 
     /// The prepared kernel for a `(kernel, hinting)` pair.
@@ -192,7 +211,7 @@ impl EngineCtx<'_> {
     ///
     /// Panics if no scenario requested this pair — rendering may only
     /// consume planned work.
-    pub fn prepared(&self, kernel: &str, hinting: &Hinting) -> &Arc<PreparedKernel> {
+    pub fn prepared<'a>(&'a self, kernel: &'a str, hinting: &Hinting) -> &'a Arc<PreparedKernel> {
         self.try_prepared(kernel, hinting)
             .unwrap_or_else(|| panic!("kernel {kernel} was not prepared — did plan() request it?"))
     }
@@ -210,10 +229,11 @@ impl EngineCtx<'_> {
         hinting: &Hinting,
         cfg: &loopfrog::LoopFrogConfig,
     ) -> Result<Arc<RunOutcome>, Arc<RunFailure>> {
-        if let Some(f) = self.prep_failure(kernel, hinting) {
-            return Err(f.clone());
-        }
-        let prep = self.prepared(kernel, hinting);
+        let prep = match self.preparation(kernel, hinting) {
+            Some(Ok(prep)) => prep,
+            Some(Err(f)) => return Err(f.clone()),
+            None => panic!("kernel {kernel} was not prepared — did plan() request it?"),
+        };
         let fp = prep.request_fingerprint_tiered(cfg, self.tier);
         if let Some(outcome) = self.outcomes.get(&fp) {
             return Ok(outcome.clone());
@@ -241,24 +261,15 @@ impl EngineCtx<'_> {
             .unwrap_or_else(|f| panic!("run for {kernel} failed: {}", f.error.message()))
     }
 
-    /// The preparation-failure record for a `(kernel, hinting)` pair, if
-    /// its profile/annotate step panicked.
-    fn prep_failure(&self, kernel: &str, hinting: &Hinting) -> Option<&Arc<RunFailure>> {
-        self.prep_failures
-            .iter()
-            .find(|((name, h), _)| *name == kernel && *h == hinting.fingerprint())
-            .map(|(_, f)| f)
-    }
-
     /// The failure record keeping `kernel` out of the suite view under
     /// `rc`, if any: its preparation failure, or the first of its
     /// baseline/LoopFrog run failures.
     pub fn suite_failure(&self, kernel: &str, rc: &RunConfig) -> Option<Arc<RunFailure>> {
         let hinting = Hinting::Annotated(rc.select.clone());
-        if let Some(f) = self.prep_failure(kernel, &hinting) {
-            return Some(f.clone());
-        }
-        let prep = self.try_prepared(kernel, &hinting)?;
+        let prep = match self.preparation(kernel, &hinting)? {
+            Ok(prep) => prep,
+            Err(f) => return Some(f.clone()),
+        };
         for cfg in [&rc.base, &rc.lf] {
             let fp = prep.request_fingerprint_tiered(cfg, self.tier);
             if let Some(f) = self.failures.get(&fp) {
@@ -803,8 +814,8 @@ pub(crate) fn build_plan(
     // stands in for every run that depended on it.
     let prepare_span = span_log.span("phase", "prepare");
     let (prepared, prep_panics) = prepare_kernels(&suite, &requests, opts.jobs);
-    drop(prepare_span);
     let unique = dedupe(&requests, &prepared, opts.tier);
+    drop(prepare_span);
     CampaignPlan { suite, per_scenario, prepared, prep_panics, unique }
 }
 

@@ -2,7 +2,7 @@
 //! and parallel execution of the unique run set.
 //!
 //! Scenarios *declare* the simulations they need as [`RunRequest`]s; the
-//! planner resolves each request to a [`run_fingerprint`] (annotated
+//! planner resolves each request to a [`crate::run_fingerprint`] (annotated
 //! program × canonical config × scale), collapses duplicates — fig6, fig7,
 //! fig8, table2, and friends all want the identical default-config suite —
 //! and executes only the unique set on a scoped worker pool, memoizing
@@ -10,9 +10,10 @@
 
 use crate::engine::fault::{hang_program, render_flight_recorder, FaultPlan, RunBudget, RunError};
 use crate::engine::pool::{try_parallel_map, WorkerPanic};
-use crate::runner::{run_fingerprint, RunConfig, RunOutcome};
-use crate::tiered::{run_fingerprint_tiered, CheckpointStore, Tier};
+use crate::runner::{run_fingerprint_of, RunConfig, RunOutcome};
+use crate::tiered::{tier_fingerprint, CheckpointStore, Tier};
 use lf_compiler::{annotate, SelectOptions};
+use lf_isa::checksum::fnv1a;
 use lf_isa::Program;
 use lf_workloads::Workload;
 use loopfrog::{LoopFrogConfig, LoopFrogCore, SimStop};
@@ -74,6 +75,11 @@ pub struct RunRequest {
 /// A workload prepared for simulation: profiled, (optionally) annotated,
 /// and content-fingerprinted. Prepared once per `(kernel, hinting)` pair
 /// and shared by every request against it.
+///
+/// The content hashes of `program` and the memory image are computed once,
+/// in [`PreparedKernel::prepare`], so fingerprinting a request costs only
+/// the config hash. They describe the values at preparation: a caller
+/// that edits `program` or `workload.mem` afterwards must prepare again.
 #[derive(Debug)]
 pub struct PreparedKernel {
     /// The source workload (name, metadata, memory image).
@@ -85,45 +91,41 @@ pub struct PreparedKernel {
     pub program: Program,
     /// Loops the compiler pass placed hints for (0 for raw).
     pub selected_loops: usize,
+    /// `(program.code_fingerprint(), fnv1a(memory image))`.
+    content: (u64, u64),
 }
 
 impl PreparedKernel {
     /// Profiles and annotates `w` according to `hinting`.
     pub fn prepare(w: Workload, hinting: &Hinting) -> PreparedKernel {
-        match hinting {
-            Hinting::Raw => PreparedKernel {
-                program: w.program.clone(),
-                golden: None,
-                selected_loops: 0,
-                workload: w,
-            },
+        let (program, golden, selected_loops) = match hinting {
+            Hinting::Raw => (w.program.clone(), None, 0),
             Hinting::Annotated(select) => {
                 let emu = w.reference_emulator().expect("kernel runs on the golden emulator");
                 assert!(emu.is_halted(), "{} did not halt", w.name);
                 let golden = emu.state_checksum();
                 let ann = annotate(&w.program, emu.profile(), select);
                 let selected_loops = ann.reports.iter().filter(|r| r.placement.is_some()).count();
-                PreparedKernel {
-                    golden: Some(golden),
-                    program: ann.program,
-                    selected_loops,
-                    workload: w,
-                }
+                (ann.program, Some(golden), selected_loops)
             }
-        }
+        };
+        let content = (program.code_fingerprint(), fnv1a(w.mem.as_bytes()));
+        PreparedKernel { workload: w, golden, program, selected_loops, content }
     }
 
     /// The run fingerprint of simulating this prepared kernel under `cfg`
-    /// on the detailed tier.
+    /// on the detailed tier: equal to [`crate::run_fingerprint`] of its
+    /// program and memory image.
     pub fn request_fingerprint(&self, cfg: &LoopFrogConfig) -> u64 {
-        run_fingerprint(&self.program, &self.workload.mem, cfg, self.workload.scale)
+        let (code, mem) = self.content;
+        run_fingerprint_of(code, mem, cfg, self.workload.scale)
     }
 
     /// The run fingerprint of simulating this prepared kernel under `cfg`
-    /// on `tier` (identical to [`PreparedKernel::request_fingerprint`]
-    /// for [`Tier::Detailed`]).
+    /// on `tier`: equal to [`crate::run_fingerprint_tiered`] of its
+    /// program and memory image.
     pub fn request_fingerprint_tiered(&self, cfg: &LoopFrogConfig, tier: Tier) -> u64 {
-        run_fingerprint_tiered(&self.program, &self.workload.mem, cfg, self.workload.scale, tier)
+        tier_fingerprint(self.request_fingerprint(cfg), tier)
     }
 }
 

@@ -85,11 +85,16 @@ impl RunOutcome {
 /// workload scale. Equal fingerprints produce identical results (the
 /// simulator is deterministic).
 pub fn run_fingerprint(program: &Program, mem: &Memory, cfg: &LoopFrogConfig, scale: Scale) -> u64 {
+    run_fingerprint_of(program.code_fingerprint(), fnv1a(mem.as_bytes()), cfg, scale)
+}
+
+/// [`run_fingerprint`] from the program's precomputed code fingerprint
+/// and the FNV-1a hash of its memory image. The two content hashes
+/// dominate the cost, so callers that fingerprint one program under many
+/// configs compute them once and call this.
+pub(crate) fn run_fingerprint_of(code: u64, mem: u64, cfg: &LoopFrogConfig, scale: Scale) -> u64 {
     let mut fp = lf_stats::Fingerprint::new();
-    fp.u64(program.code_fingerprint())
-        .u64(fnv1a(mem.as_bytes()))
-        .str(scale_tag(scale))
-        .u64(cfg.fingerprint());
+    fp.u64(code).u64(mem).str(scale_tag(scale)).u64(cfg.fingerprint());
     fp.finish()
 }
 

@@ -98,7 +98,13 @@ pub fn run_fingerprint_tiered(
     scale: Scale,
     tier: Tier,
 ) -> u64 {
-    let base = run_fingerprint(program, mem, cfg, scale);
+    tier_fingerprint(run_fingerprint(program, mem, cfg, scale), tier)
+}
+
+/// Mixes `tier` into a detailed-tier run fingerprint `base` (the step
+/// shared by [`run_fingerprint_tiered`] and the memoized fingerprints of
+/// prepared kernels).
+pub(crate) fn tier_fingerprint(base: u64, tier: Tier) -> u64 {
     match tier {
         Tier::Detailed => base,
         Tier::Functional | Tier::Sampled => Fingerprint::new().u64(base).str(tier.tag()).finish(),

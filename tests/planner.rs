@@ -4,9 +4,9 @@
 
 use lf_bench::artifact::SCHEMA_VERSION;
 use lf_bench::engine::cache::DiskCache;
-use lf_bench::engine::planner::{Hinting, Planner};
+use lf_bench::engine::planner::{Hinting, Planner, PreparedKernel};
 use lf_bench::engine::{run_scenarios, EngineCtx, EngineOptions, Scenario};
-use lf_bench::{run_fingerprint, RunArtifact, RunConfig};
+use lf_bench::{run_fingerprint, run_fingerprint_tiered, RunArtifact, RunConfig, Tier};
 use lf_stats::Json;
 use lf_workloads::Scale;
 use std::path::PathBuf;
@@ -193,4 +193,36 @@ fn raw_and_annotated_hintings_fingerprint_apart() {
     let mut b = lf_stats::Fingerprint::new();
     b.u64(Hinting::default_annotated().fingerprint());
     assert_ne!(a.finish(), b.finish());
+}
+
+/// The memoized fingerprints of a prepared kernel are the cache keys the
+/// from-scratch formula gives, so caches written before memoization still
+/// hit.
+#[test]
+fn memoized_fingerprints_match_the_from_scratch_formula() {
+    let mut small_ssb = loopfrog::LoopFrogConfig::default();
+    small_ssb.ssb.size_bytes = 512;
+    let configs =
+        [loopfrog::LoopFrogConfig::baseline(), loopfrog::LoopFrogConfig::default(), small_ssb];
+    for w in lf_workloads::all(Scale::Smoke) {
+        for hinting in [Hinting::Raw, Hinting::default_annotated()] {
+            let prep = PreparedKernel::prepare(w.clone(), &hinting);
+            for cfg in &configs {
+                for tier in [Tier::Detailed, Tier::Functional, Tier::Sampled] {
+                    assert_eq!(
+                        prep.request_fingerprint_tiered(cfg, tier),
+                        run_fingerprint_tiered(
+                            &prep.program,
+                            &prep.workload.mem,
+                            cfg,
+                            Scale::Smoke,
+                            tier
+                        ),
+                        "{} {hinting:?} {tier:?}",
+                        w.name
+                    );
+                }
+            }
+        }
+    }
 }
