@@ -1,7 +1,7 @@
 //! Machine-readable run artifacts.
 //!
-//! Every experiment binary can dump a `results/*.json` document via
-//! `--json <path>`: tool name, workload scale, a configuration summary,
+//! `lf-bench run --json DIR` writes one `DIR/<scenario>.json` document
+//! per scenario: tool name, workload scale, a configuration summary,
 //! and one record per kernel carrying the full metrics-registry dump of
 //! both the baseline and LoopFrog runs (cycle-accounting buckets,
 //! distributions, derived formulas), the interval time series, and the

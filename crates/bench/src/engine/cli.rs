@@ -12,8 +12,6 @@
 //!                [--konata PATH] [--text PATH|-] [--cycles LO:HI]
 //!                [--tid N] [--kinds a,b,...]
 //!                [--dump-flight-recorder PATH]
-//! lf-bench serve [--socket PATH] [--workers N] [--cache-dir DIR] [-j N]
-//! lf-bench submit [--socket PATH] <run-args...>
 //!
 //! options:
 //!   --scale smoke|eval|full
@@ -54,31 +52,18 @@
 //!                        kill point
 //!   --trace-out PATH     (run) export campaign spans as Chrome
 //!                        trace-event JSON (Perfetto-loadable)
-//!   --socket PATH        (serve/submit) Unix-domain socket of the
-//!                        resident campaign service (default:
-//!                        <cache-dir>/lf-serve.sock)
 //! ```
-//!
-//! `serve` keeps the planner, run cache, and checkpoint store warm and
-//! executes queued campaign requests submitted over the socket; `submit`
-//! takes the same campaign flags as `run`, ships them as one request,
-//! streams the server's status records to stderr, reprints the
-//! campaign's stdout byte-for-byte, and exits with its exit code. See
-//! [`crate::engine::serve`] for the protocol.
 //!
 //! Every `run` writes a failure report (`failures.json`, empty on a clean
 //! campaign) next to the artifacts; the campaign exits zero as long as it
 //! completes, even with failed runs — failures are data, not crashes.
-//!
-//! The historical per-figure binaries still exist as shims over
-//! [`run_single`], preserving their `--scale`/`--json <path>` surface.
 
 use crate::engine::cache::DiskCache;
 use crate::engine::fault::{
     read_failures_json, write_failures_json, FaultPlan, RunBudget, DEFAULT_BUDGET_CYCLES,
 };
 use crate::engine::{
-    by_name, registry, run_scenarios, serve, supervise, EngineOptions, EngineOutput, Scenario,
+    by_name, registry, run_scenarios, supervise, EngineOptions, EngineOutput, Scenario,
 };
 use crate::runner::scale_tag;
 use crate::tiered::Tier;
@@ -124,8 +109,6 @@ struct Cli {
     warn_frac: f64,
     /// `run`: export campaign spans as Chrome trace-event JSON here.
     trace_out: Option<PathBuf>,
-    /// `serve`/`submit`: Unix-domain socket path of the campaign service.
-    socket: Option<PathBuf>,
     /// `trace`: sink and filter options.
     trace: crate::tracecmd::TraceOptions,
 }
@@ -145,19 +128,11 @@ enum Command {
     Perf,
     Profile,
     Trace,
-    /// The resident campaign service (`lf-bench serve`).
-    Serve,
-    /// Thin client shipping one campaign request to a running service.
-    Submit {
-        names: Vec<String>,
-        all: bool,
-    },
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: lf-bench <list|run|serve|submit|perf|profile|trace> [scenario...|kernel] [--all]\n\
-         \x20                [--socket PATH]  (serve/submit)\n\
+        "usage: lf-bench <list|run|perf|profile|trace> [scenario...|kernel] [--all]\n\
          \x20                [--scale smoke|eval|full] [--tier functional|sampled|detailed]\n\
          \x20                [-j N] [--filter SUBSTR] [--no-cache]\n\
          \x20                [--cache-dir DIR] [--json [DIR]] [--assert-dedup]\n\
@@ -196,7 +171,6 @@ fn parse(args: &[String]) -> Cli {
         label: None,
         warn_frac: 0.15,
         trace_out: None,
-        socket: None,
         trace: crate::tracecmd::TraceOptions {
             kernel: String::new(),
             scale: Scale::Smoke,
@@ -229,8 +203,6 @@ fn parse(args: &[String]) -> Cli {
             "list" | "--list" if command.is_none() => command = Some("list"),
             "run" if command.is_none() => command = Some("run"),
             "worker" if command.is_none() => command = Some("worker"),
-            "serve" if command.is_none() => command = Some("serve"),
-            "submit" if command.is_none() => command = Some("submit"),
             "perf" if command.is_none() => command = Some("perf"),
             "profile" if command.is_none() => command = Some("profile"),
             "trace" if command.is_none() => command = Some("trace"),
@@ -365,7 +337,6 @@ fn parse(args: &[String]) -> Cli {
                 }
             }
             "--trace-out" => cli.trace_out = Some(PathBuf::from(value("an output path"))),
-            "--socket" => cli.socket = Some(PathBuf::from(value("a socket path"))),
             "--config" => {
                 cli.trace.config = match value("`base` or `lf`").as_str() {
                     "base" => crate::tracecmd::TraceConfig::Base,
@@ -422,9 +393,7 @@ fn parse(args: &[String]) -> Cli {
                 }
             }
             name if !name.starts_with('-')
-                && (command == Some("run")
-                    || command == Some("worker")
-                    || command == Some("submit")) =>
+                && (command == Some("run") || command == Some("worker")) =>
             {
                 names.push(name.to_string())
             }
@@ -444,8 +413,6 @@ fn parse(args: &[String]) -> Cli {
     match command {
         Some("run") => cli.command = Command::Run { names, all },
         Some("worker") => cli.command = Command::Worker { names, all },
-        Some("serve") => cli.command = Command::Serve,
-        Some("submit") => cli.command = Command::Submit { names, all },
         Some("perf") => cli.command = Command::Perf,
         Some("profile") => cli.command = Command::Profile,
         Some("trace") => {
@@ -515,13 +482,7 @@ fn engine_options(cli: &Cli) -> EngineOptions {
         spans: None,
         poisoned: std::collections::HashMap::new(),
         carried_faults: Default::default(),
-        journal_scope: None,
     }
-}
-
-/// The default service socket lives next to the claim space it guards.
-fn socket_path(cli: &Cli) -> PathBuf {
-    cli.socket.clone().unwrap_or_else(|| cli.cache_dir.join("lf-serve.sock"))
 }
 
 /// Where this invocation reads and writes its failure report.
@@ -673,7 +634,7 @@ pub fn main() {
             } else {
                 run_scenarios(&refs, &opts)
             };
-            let finished = finish_campaign(
+            let exit = finish_campaign(
                 &output,
                 refs.len() > 1,
                 cli.json_dir.as_deref(),
@@ -681,8 +642,6 @@ pub fn main() {
                 scale_tag(cli.scale),
                 cli.assert_dedup,
             );
-            print!("{}", finished.stdout);
-            eprint!("{}", finished.stderr);
             if let (Some(path), Some(log)) = (&cli.trace_out, &span_log) {
                 match write_json(&log.to_chrome_json(), path) {
                     Ok(()) => eprintln!("wrote {} (load in Perfetto)", path.display()),
@@ -692,73 +651,8 @@ pub fn main() {
                     }
                 }
             }
-            if finished.exit != 0 {
-                std::process::exit(finished.exit);
-            }
-        }
-        Command::Serve => {
-            let code = serve::serve_main(&serve::ServeOptions {
-                socket: socket_path(&cli),
-                cache_dir: cli.cache_dir.clone(),
-                jobs: cli.jobs,
-                default_workers: cli.workers,
-            });
-            std::process::exit(code);
-        }
-        Command::Submit { names, all } => {
-            if names.is_empty() && !*all {
-                eprintln!("error: `submit` expects scenario names or --all");
-                std::process::exit(2);
-            }
-            let request = serve::Request {
-                names: names.clone(),
-                all: *all,
-                scale: scale_tag(cli.scale).to_string(),
-                tier: cli.tier.tag().to_string(),
-                filter: cli.filter.clone(),
-                jobs: cli.jobs,
-                workers: cli.workers,
-                json_dir: cli.json_dir.as_ref().map(|d| d.display().to_string()),
-                assert_dedup: cli.assert_dedup,
-            };
-            std::process::exit(serve::submit_main(&socket_path(&cli), &request));
-        }
-    }
-}
-
-/// Entry point of the historical per-figure shim binaries: runs exactly
-/// one scenario with the legacy `--scale <s>` / `--json <path>` surface
-/// (plus the shared `-j`/`--filter`/`--no-cache` flags).
-pub fn run_single(name: &str) {
-    let scenario = by_name(name).unwrap_or_else(|| panic!("scenario {name} is not registered"));
-    let scale = crate::scale_from_args();
-    let json_path = crate::json_path_from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let jobs = args
-        .iter()
-        .position(|a| a == "-j" || a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
-    let filter = args.iter().position(|a| a == "--filter").and_then(|i| args.get(i + 1)).cloned();
-    let no_cache = args.iter().any(|a| a == "--no-cache");
-    let opts = EngineOptions {
-        scale,
-        jobs,
-        filter,
-        disk_cache: if no_cache { None } else { Some(DiskCache::new("results/cache")) },
-        sim_hook: None,
-        ..EngineOptions::new(scale)
-    };
-    let output = run_scenarios(&[scenario.as_ref()], &opts);
-    print_output(&output, false);
-    if let Some(path) = json_path {
-        let s = &output.scenarios[0];
-        match write_json(&s.artifact, &path) {
-            Ok(()) => println!("\nwrote {}", path.display()),
-            Err(e) => {
-                eprintln!("error: failed to write {}: {e}", path.display());
-                std::process::exit(1);
+            if exit != 0 {
+                std::process::exit(exit);
             }
         }
     }
@@ -780,60 +674,49 @@ fn list(cli: &Cli) {
     println!("\n{total} total run requests before deduplication");
 }
 
-fn print_output(output: &EngineOutput, separators: bool) {
-    print!("{}", render_stdout(output, separators));
-    eprint!("{}", render_telemetry(output));
-}
-
-/// Everything a finished campaign prints, captured as strings so the
-/// one-shot `run` path and the resident service emit byte-identical
-/// output (the service ships these over the socket instead of printing).
-pub(crate) struct FinishedCampaign {
-    pub stdout: String,
-    pub stderr: String,
-    pub exit: i32,
-}
-
-/// The shared back half of a campaign: render results, write the failure
-/// report and JSON artifacts, and enforce `--assert-dedup`. Both `run`
-/// and a served request funnel through here so their observable output
-/// cannot drift apart.
-pub(crate) fn finish_campaign(
+/// The back half of `run`: render results, write the failure report and
+/// JSON artifacts, enforce `--assert-dedup`, then print stdout and the
+/// stderr telemetry. Returns the process exit code.
+fn finish_campaign(
     output: &EngineOutput,
     separators: bool,
     json_dir: Option<&Path>,
     failures: &Path,
     scale_tag: &str,
     assert_dedup: bool,
-) -> FinishedCampaign {
+) -> i32 {
     let mut stdout = render_stdout(output, separators);
     let mut stderr = render_telemetry(output);
-    // The failure report is written on every run — empty on a clean
-    // campaign — so a follow-up --resume always has a current file to
-    // read.
-    match write_failures_json(failures, &output.failures, scale_tag) {
-        Ok(()) => stderr.push_str(&format!("wrote {}\n", failures.display())),
-        Err(e) => {
-            stderr.push_str(&format!("error: failed to write {}: {e}\n", failures.display()));
-            return FinishedCampaign { stdout, stderr, exit: 1 };
+    let exit = 'finish: {
+        // The failure report is written on every run — empty on a clean
+        // campaign — so a follow-up --resume always has a current file to
+        // read.
+        match write_failures_json(failures, &output.failures, scale_tag) {
+            Ok(()) => stderr.push_str(&format!("wrote {}\n", failures.display())),
+            Err(e) => {
+                stderr.push_str(&format!("error: failed to write {}: {e}\n", failures.display()));
+                break 'finish 1;
+            }
         }
-    }
-    if let Some(dir) = json_dir {
-        if let Err(msg) = write_artifacts(output, dir, &mut stdout) {
-            stderr.push_str(&msg);
-            stderr.push('\n');
-            return FinishedCampaign { stdout, stderr, exit: 1 };
+        if let Some(dir) = json_dir {
+            if let Err(msg) = write_artifacts(output, dir, &mut stdout) {
+                stderr.push_str(&msg);
+                stderr.push('\n');
+                break 'finish 1;
+            }
         }
-    }
-    let mut exit = 0;
-    if assert_dedup && output.report.unique >= output.report.requests {
-        stderr.push_str(&format!(
-            "error: --assert-dedup: no deduplication occurred ({} requests, {} unique)\n",
-            output.report.requests, output.report.unique
-        ));
-        exit = 1;
-    }
-    FinishedCampaign { stdout, stderr, exit }
+        if assert_dedup && output.report.unique >= output.report.requests {
+            stderr.push_str(&format!(
+                "error: --assert-dedup: no deduplication occurred ({} requests, {} unique)\n",
+                output.report.requests, output.report.unique
+            ));
+            break 'finish 1;
+        }
+        0
+    };
+    print!("{stdout}");
+    eprint!("{stderr}");
+    exit
 }
 
 fn render_stdout(output: &EngineOutput, separators: bool) -> String {

@@ -27,9 +27,10 @@
 //!
 //! Worker processes cannot share the supervisor's journal file handle, so
 //! each appends to its own shard ([`Journal::shard`]):
-//! `worker-<id>-<pid>.journal` next to `campaign.journal`. Replay merges
-//! the campaign log and every shard — classification only needs set
-//! union, never cross-file ordering.
+//! `worker-<id>-<pid>.journal` next to `campaign.journal`. One rule
+//! covers every file: each `*.journal` in the journal directory belongs
+//! to the current campaign. Replay merges them all — classification only
+//! needs set union, never cross-file ordering.
 //!
 //! ## Record format
 //!
@@ -52,10 +53,10 @@
 //! lost `Committed` merely downgrades a run to "in flight", which resume
 //! treats conservatively.
 //!
-//! One journal serves one campaign: [`Journal::begin`] truncates the
-//! campaign log and removes stale worker shards, so concurrent campaigns
-//! must use distinct cache directories (the same restriction the cache's
-//! temp-file naming already lifts for plain stores).
+//! One journal directory serves one campaign: [`Journal::begin`] removes
+//! every `*.journal` before it creates the campaign log, so concurrent
+//! campaigns must use distinct cache directories (the same restriction
+//! the cache's temp-file naming already lifts for plain stores).
 
 use lf_stats::Fingerprint;
 use std::collections::HashSet;
@@ -69,13 +70,6 @@ pub const JOURNAL_FILE: &str = "campaign.journal";
 
 /// Prefix of per-worker journal shards inside the journal directory.
 pub const WORKER_SHARD_PREFIX: &str = "worker-";
-
-/// Prefix of per-request scoped campaign logs (`campaign-<scope>.journal`)
-/// written by the resident service: each queued request journals into its
-/// own file so requests sharing one cache directory never truncate or
-/// interleave each other's records. Note it never collides with
-/// [`JOURNAL_FILE`] (`campaign.journal` has no dash).
-pub const REQUEST_SCOPE_PREFIX: &str = "campaign-";
 
 /// Records longer than this are rejected as torn/corrupt during replay
 /// (real payloads are 9 bytes; the bound only guards against reading a
@@ -221,7 +215,7 @@ impl Replay {
         }
     }
 
-    /// Merges another replay (a worker shard) into this one.
+    /// Merges another file's replay into this one.
     fn absorb(&mut self, other: Replay) {
         self.records += other.records;
         self.planned.extend(other.planned);
@@ -243,35 +237,23 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Starts a fresh journal for a new campaign, truncating any previous
-    /// log in `dir` (the previous campaign is either complete — its
-    /// journal is history — or is being deliberately restarted from
-    /// scratch).
+    /// Starts a fresh journal for a new campaign: removes every
+    /// `*.journal` in `dir` (the previous campaign is either complete —
+    /// its journal is history — or is being deliberately restarted from
+    /// scratch), then creates an empty campaign log.
     pub fn begin(dir: &Path) -> io::Result<Journal> {
         std::fs::create_dir_all(dir)?;
-        remove_worker_shards(dir);
-        remove_scoped_logs(dir);
+        for path in journal_files(dir)? {
+            let _ = std::fs::remove_file(path);
+        }
         let path = dir.join(JOURNAL_FILE);
         let file = File::create(&path)?;
         Ok(Journal { path, file: Mutex::new(file) })
     }
 
-    /// Starts a fresh *scoped* campaign log, `campaign-<scope>.journal`,
-    /// truncating only this scope's previous log. Used by the resident
-    /// service, where several requests journal into one cache directory:
-    /// a request must never truncate the shared log (or a sibling's) the
-    /// way [`Journal::begin`] does.
-    pub fn begin_scoped(dir: &Path, scope: &str) -> io::Result<Journal> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{REQUEST_SCOPE_PREFIX}{scope}.journal"));
-        let file = File::create(&path)?;
-        Ok(Journal { path, file: Mutex::new(file) })
-    }
-
     /// Reopens the journal of a crashed (or completed) campaign: replays
-    /// every whole record of the campaign log *and* every worker shard,
-    /// truncates torn tails in place, and returns the journal positioned
-    /// to append. A missing journal resumes as empty — the campaign may
+    /// every whole record of every `*.journal` in `dir`, truncates torn
+    /// tails in place, and returns the journal positioned to append. A missing journal resumes as empty — the campaign may
     /// have died before planning.
     pub fn resume(dir: &Path) -> io::Result<(Journal, Replay)> {
         std::fs::create_dir_all(dir)?;
@@ -315,58 +297,30 @@ impl Journal {
     }
 }
 
-/// Removes every `worker-*.journal` shard in `dir` (fresh campaigns must
-/// not replay a previous campaign's worker events).
-pub fn remove_worker_shards(dir: &Path) {
-    remove_matching(dir, WORKER_SHARD_PREFIX);
-}
-
-/// Removes every scoped request log (`campaign-*.journal`) in `dir`. The
-/// resident service sweeps these at startup, and a fresh one-shot
-/// campaign clears them along with the worker shards — either way a
-/// dead server's request logs must not leak into later replays.
-pub fn remove_scoped_logs(dir: &Path) {
-    remove_matching(dir, REQUEST_SCOPE_PREFIX);
-}
-
-fn remove_matching(dir: &Path, prefix: &str) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.starts_with(prefix) && name.ends_with(".journal") {
-            let _ = std::fs::remove_file(entry.path());
-        }
-    }
-}
-
-/// Replays and merges the campaign journal plus every worker shard and
-/// scoped request log in `dir`, truncating torn tails in each file.
-/// Missing files replay as empty.
-pub fn replay_dir(dir: &Path) -> io::Result<Replay> {
-    let mut replay = replay_and_truncate(&dir.join(JOURNAL_FILE))?;
+/// Every `*.journal` in `dir`, sorted (sets make merge order irrelevant
+/// for classification, but torn-byte accounting reads better stable). A
+/// missing directory holds none.
+fn journal_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(replay),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(e),
     };
-    // Deterministic merge order (sets make order irrelevant for
-    // classification, but torn-byte accounting reads better stable).
-    let mut shards: Vec<PathBuf> = entries
+    let mut files: Vec<PathBuf> = entries
         .flatten()
         .map(|e| e.path())
-        .filter(|p| {
-            p.file_name().and_then(|n| n.to_str()).is_some_and(|n| {
-                n.ends_with(".journal")
-                    && (n.starts_with(WORKER_SHARD_PREFIX) || n.starts_with(REQUEST_SCOPE_PREFIX))
-            })
-        })
+        .filter(|p| p.extension().is_some_and(|ext| ext == "journal"))
         .collect();
-    shards.sort();
-    for shard in shards {
-        replay.absorb(replay_and_truncate(&shard)?);
+    files.sort();
+    Ok(files)
+}
+
+/// Replays and merges every `*.journal` in `dir` — the campaign log and
+/// all worker shards — truncating torn tails in each file.
+pub fn replay_dir(dir: &Path) -> io::Result<Replay> {
+    let mut replay = Replay::default();
+    for file in journal_files(dir)? {
+        replay.absorb(replay_and_truncate(&file)?);
     }
     Ok(replay)
 }
@@ -585,56 +539,17 @@ mod tests {
             "claimed-but-never-committed counts as in flight"
         );
 
-        // A fresh campaign clears the shards along with the log.
+        // A stray non-worker journal is the campaign's too until a fresh
+        // campaign starts: a fresh campaign clears it along with the log
+        // and the shards.
+        let stray = dir.join("stray.journal");
+        std::fs::write(&stray, JournalEvent::Committed(9).encode()).unwrap();
+        assert_eq!(replay_dir(&dir).unwrap().classify(9), RunState::Committed);
         drop(Journal::begin(&dir).unwrap());
+        assert!(!stray.exists(), "begin() removes every *.journal");
         let (_, again) = Journal::resume(&dir).unwrap();
-        assert_eq!(again.records, 0, "begin() removes worker shards");
-    }
-
-    #[test]
-    fn scoped_request_logs_are_isolated_and_merge_into_replay() {
-        let dir = scratch_dir("scoped");
-        // Two service requests journal side by side; neither touches the
-        // other's log or the shared campaign.journal.
-        let r1 = Journal::begin_scoped(&dir, "req-1").unwrap();
-        r1.append_all(&[JournalEvent::Planned(1), JournalEvent::Started(1)]).unwrap();
-        drop(r1);
-        let r2 = Journal::begin_scoped(&dir, "req-2").unwrap();
-        r2.append_all(&[
-            JournalEvent::Planned(1),
-            JournalEvent::Started(1),
-            JournalEvent::Committed(1),
-        ])
-        .unwrap();
-        drop(r2);
-
-        let replay = replay_dir(&dir).unwrap();
-        assert_eq!(replay.records, 5, "both scoped logs merge");
-        assert_eq!(replay.classify(1), RunState::Committed);
-
-        // Re-beginning one scope truncates only that scope's log.
-        drop(Journal::begin_scoped(&dir, "req-1").unwrap());
-        let replay = replay_dir(&dir).unwrap();
-        assert_eq!(replay.records, 3, "req-2's records survive req-1's restart");
-
-        // A fresh one-shot campaign clears every scoped log.
-        drop(Journal::begin(&dir).unwrap());
-        let (_, again) = Journal::resume(&dir).unwrap();
-        assert_eq!(again.records, 0, "begin() removes scoped request logs");
-    }
-
-    #[test]
-    fn remove_scoped_logs_spares_the_campaign_journal() {
-        let dir = scratch_dir("scoped-sweep");
-        let j = Journal::begin(&dir).unwrap();
-        j.append(JournalEvent::Planned(4)).unwrap();
-        drop(j);
-        drop(Journal::begin_scoped(&dir, "req-9").unwrap());
-        remove_scoped_logs(&dir);
-        assert!(dir.join(JOURNAL_FILE).exists());
-        assert!(!dir.join("campaign-req-9.journal").exists());
-        let (_, replay) = Journal::resume(&dir).unwrap();
-        assert_eq!(replay.records, 1, "the shared log is untouched");
+        assert_eq!(again.records, 0, "begin() removes worker shards and stray journals");
+        assert_eq!(again.classify(9), RunState::NeverStarted);
     }
 
     #[test]

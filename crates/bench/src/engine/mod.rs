@@ -33,7 +33,6 @@ pub mod lease;
 pub mod planner;
 pub mod pool;
 pub mod scenarios;
-pub mod serve;
 pub mod signals;
 pub mod spans;
 pub mod supervise;
@@ -56,7 +55,7 @@ use std::time::{Duration, Instant};
 
 /// One experiment: a registered figure/table reproduction.
 pub trait Scenario: Sync {
-    /// CLI name (stable; matches the historical binary name).
+    /// CLI name (stable: `lf-bench run <name>`).
     fn name(&self) -> &'static str;
     /// One-line human title printed above the rendered output.
     fn title(&self) -> &'static str;
@@ -116,12 +115,6 @@ pub struct EngineOptions {
     /// deaths, respawns, lease reclaims); merged into this invocation's
     /// own counters so the rendered telemetry covers the whole campaign.
     pub carried_faults: FaultStats,
-    /// Journal scope for campaigns sharing one cache directory: a fresh
-    /// campaign writes `campaign-<scope>.journal` instead of truncating
-    /// the shared `campaign.journal`, so concurrent service requests
-    /// never interleave torn state. `None` (every one-shot invocation)
-    /// keeps the classic single-log behavior.
-    pub journal_scope: Option<String>,
 }
 
 impl EngineOptions {
@@ -140,7 +133,6 @@ impl EngineOptions {
             spans: None,
             poisoned: HashMap::new(),
             carried_faults: FaultStats::default(),
-            journal_scope: None,
         }
     }
 }
@@ -456,74 +448,6 @@ pub struct EngineOutput {
 /// renders serially from the shared outcome table. Identical requests from
 /// different scenarios are simulated exactly once.
 pub fn run_scenarios(scenarios: &[&dyn Scenario], opts: &EngineOptions) -> EngineOutput {
-    run_scenarios_warm(scenarios, opts, None)
-}
-
-/// Long-lived engine state for the resident campaign service
-/// (`lf-bench serve`): deduplicated campaign plans — including their
-/// prepared (profiled + annotated) kernels — cached across requests,
-/// keyed by the plan's inputs. The plan is a pure function of
-/// (scenarios × scale × tier × filter), so a repeat request skips the
-/// plan and prepare phases entirely and goes straight to cache lookups
-/// and rendering — which is exactly why a fully-cached service request
-/// is dominated by the render phase.
-#[derive(Default)]
-pub struct WarmEngine {
-    plans: std::sync::Mutex<HashMap<u64, Arc<CampaignPlan>>>,
-    plan_hits: std::sync::atomic::AtomicUsize,
-}
-
-impl WarmEngine {
-    /// An empty warm-state holder.
-    pub fn new() -> WarmEngine {
-        WarmEngine::default()
-    }
-
-    /// How many requests were served a cached plan so far.
-    pub fn plan_hits(&self) -> usize {
-        self.plan_hits.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// The plan-index key: everything [`build_plan`] depends on.
-    fn plan_key(scenarios: &[&dyn Scenario], opts: &EngineOptions) -> u64 {
-        let mut fp = lf_stats::Fingerprint::new();
-        for s in scenarios {
-            fp.str(s.name());
-        }
-        fp.str(scale_tag(opts.scale));
-        fp.str(opts.tier.tag());
-        fp.str(opts.filter.as_deref().unwrap_or(""));
-        fp.finish()
-    }
-
-    fn plan_for(
-        &self,
-        scenarios: &[&dyn Scenario],
-        opts: &EngineOptions,
-        span_log: &Arc<SpanLog>,
-    ) -> Arc<CampaignPlan> {
-        let key = Self::plan_key(scenarios, opts);
-        if let Some(plan) = self.plans.lock().expect("plan index poisoned").get(&key) {
-            self.plan_hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            return plan.clone();
-        }
-        // Built outside the lock: preparation is the expensive part and
-        // the server executes requests sequentially anyway; a losing
-        // racer merely rebuilds an identical (deterministic) plan.
-        let plan = Arc::new(build_plan(scenarios, opts, span_log));
-        self.plans.lock().expect("plan index poisoned").insert(key, plan.clone());
-        plan
-    }
-}
-
-/// [`run_scenarios`] against optional long-lived service state: with
-/// `warm` provided, the deduplicated plan index persists across
-/// invocations and repeat requests skip the plan/prepare phases.
-pub fn run_scenarios_warm(
-    scenarios: &[&dyn Scenario],
-    opts: &EngineOptions,
-    warm: Option<&WarmEngine>,
-) -> EngineOutput {
     let started = Instant::now();
     // The span log records phase and per-run intervals on every campaign
     // (the timing summary in the planner telemetry feeds off it); the
@@ -537,21 +461,14 @@ pub fn run_scenarios_warm(
     let (campaign_journal, journal_replay) = open_journal(opts, &mut faults);
 
     // Phases 1-2: plan, prepare, dedupe (shared with worker processes,
-    // which re-derive the identical plan from the same options, and with
-    // the resident service, which reuses it outright). The plan is only
-    // borrowed from here on so a warm index can keep it alive across
-    // requests; preparation panics are re-reported per invocation.
-    let plan: Arc<CampaignPlan> = match warm {
-        Some(w) => w.plan_for(scenarios, opts, &span_log),
-        None => Arc::new(build_plan(scenarios, opts, &span_log)),
-    };
-    let suite = &plan.suite;
-    let unique = &plan.unique;
+    // which re-derive the identical plan from the same options).
+    let CampaignPlan { suite, per_scenario, prepared, prep_panics, unique } =
+        build_plan(scenarios, opts, &span_log);
     let tag = scale_tag(opts.scale);
     let repro_for = |kernel: &str| repro_command(opts.scale, opts.tier, kernel);
     let mut failure_list: Vec<Arc<RunFailure>> = Vec::new();
     let mut prep_failures: HashMap<PrepKey, Arc<RunFailure>> = HashMap::new();
-    for (key, panic) in &plan.prep_panics {
+    for (key, panic) in &prep_panics {
         faults.prep_failures += 1;
         let record = Arc::new(RunFailure {
             fingerprint: 0,
@@ -590,9 +507,10 @@ pub fn run_scenarios_warm(
     // misses from schema-stale and corrupt (quarantined) entries.
     let cache_span = span_log.span("phase", "cache");
     let mut outcomes: HashMap<u64, Arc<RunOutcome>> = HashMap::new();
+    let unique_runs = unique.len();
     let mut misses = Vec::new();
     let mut disk_hits = 0usize;
-    for run in unique.iter() {
+    for run in unique {
         match opts.disk_cache.as_ref() {
             None => misses.push(run),
             Some(c) => match c.lookup(run.fingerprint) {
@@ -625,26 +543,19 @@ pub fn run_scenarios_warm(
     // are never executed here — a genuinely poisonous run would take this
     // process down too. A cache hit outranks a poison marker: if any
     // worker managed to commit the run, the result is trusted.
-    let mut poisoned_runs: Vec<(&planner::UniqueRun, usize)> = Vec::new();
-    misses.retain(|run| match opts.poisoned.get(&run.fingerprint) {
-        Some(&deaths) => {
-            poisoned_runs.push((*run, deaths));
-            false
-        }
-        None => true,
-    });
+    let (poisoned_runs, misses): (Vec<_>, Vec<_>) =
+        misses.into_iter().partition(|run| opts.poisoned.contains_key(&run.fingerprint));
     drop(cache_span);
-    let misses: Vec<_> = misses; // shadow as immutable for the pool
     let simulate_span = span_log.span("phase", "simulate");
-    let executed = execute_refs(&misses, opts, &span_log, campaign_journal.as_deref());
+    let executed = execute_runs(&misses, opts, &span_log, campaign_journal.as_deref());
     drop(simulate_span);
     let mut failures: HashMap<u64, Arc<RunFailure>> = HashMap::new();
-    for (run, deaths) in poisoned_runs {
+    for run in poisoned_runs {
         faults.poisoned += 1;
         let record = Arc::new(RunFailure {
             fingerprint: run.fingerprint,
             kernel: run.kernel.to_string(),
-            error: RunError::Poisoned { worker_deaths: deaths },
+            error: RunError::Poisoned { worker_deaths: opts.poisoned[&run.fingerprint] },
             repro: repro_for(run.kernel),
         });
         failure_list.push(record.clone());
@@ -692,16 +603,16 @@ pub fn run_scenarios_warm(
     let ctx = EngineCtx {
         scale: opts.scale,
         tier: opts.tier,
-        suite,
-        prepared: plan.prepared.clone(),
+        suite: &suite,
+        prepared,
         outcomes,
         failures,
         prep_failures,
     };
     let mut report = PlannerReport {
-        requests: plan.per_scenario.iter().map(|(_, n)| n).sum(),
-        per_scenario: plan.per_scenario.clone(),
-        unique: unique.len(),
+        requests: per_scenario.iter().map(|(_, n)| n).sum(),
+        per_scenario,
+        unique: unique_runs,
         disk_hits,
         simulated: misses.len(),
         prepared: ctx.prepared.len(),
@@ -839,7 +750,7 @@ pub(crate) fn execute_single(
     span_log: &Arc<SpanLog>,
     journal: Option<&Journal>,
 ) -> Result<Arc<RunOutcome>, RunError> {
-    execute_refs(&[run], opts, span_log, journal)
+    execute_runs(std::slice::from_ref(run), opts, span_log, journal)
         .pop()
         .expect("execute over one run yields one result")
 }
@@ -870,14 +781,7 @@ fn open_journal(
             }
         }
     } else {
-        // Service requests write a scoped per-request log instead of
-        // truncating the shared campaign.journal out from under their
-        // neighbors; a one-shot campaign keeps the classic single log.
-        let opened = match &opts.journal_scope {
-            Some(scope) => Journal::begin_scoped(&dir, scope),
-            None => Journal::begin(&dir),
-        };
-        match opened {
+        match Journal::begin(&dir) {
             Ok(j) => (Some(Arc::new(j)), None),
             Err(e) => {
                 eprintln!("warning: cannot open campaign journal: {e}");
@@ -931,32 +835,22 @@ pub(crate) fn store_outcome(
     }
 }
 
-/// [`execute`] over a borrowed miss list (the cache split leaves us with
-/// `&UniqueRun`s).
-fn execute_refs(
-    misses: &[&planner::UniqueRun],
+/// [`execute`] with the campaign's options: its hook, budget, faults and
+/// tier, and the checkpoint store under the cache directory.
+fn execute_runs(
+    runs: &[planner::UniqueRun],
     opts: &EngineOptions,
     span_log: &Arc<SpanLog>,
     journal: Option<&Journal>,
 ) -> Vec<Result<Arc<RunOutcome>, RunError>> {
-    let hook = opts.sim_hook.as_deref();
-    let owned: Vec<planner::UniqueRun> = misses
-        .iter()
-        .map(|r| planner::UniqueRun {
-            fingerprint: r.fingerprint,
-            kernel: r.kernel,
-            prepared: r.prepared.clone(),
-            config: r.config.clone(),
-        })
-        .collect();
     // Checkpoint plans live next to the run-cache entries and commit
     // through the same atomic-write path; `--no-cache` campaigns rebuild
     // plans in memory instead.
     let ckpt_store = opts.disk_cache.as_ref().map(|c| CheckpointStore::new(c.dir()));
     execute(
-        &owned,
+        runs,
         opts.jobs,
-        hook,
+        opts.sim_hook.as_deref(),
         &opts.budget,
         &opts.faults,
         opts.tier,
@@ -966,8 +860,8 @@ fn execute_refs(
     )
 }
 
-/// The scenario registry, in render order. Names are stable CLI surface
-/// (they match the historical per-figure binaries).
+/// The scenario registry, in render order. Names are stable CLI surface:
+/// `lf-bench run <name>` renders one scenario.
 pub fn registry() -> Vec<Box<dyn Scenario>> {
     scenarios::all()
 }

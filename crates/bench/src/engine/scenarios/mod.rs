@@ -1,8 +1,7 @@
 //! The scenario registry: every figure/table reproduction, one module
 //! each, registered in render order.
 //!
-//! Scenario names are the stable CLI surface of `lf-bench run` and match
-//! the historical per-figure binaries (which now shim into the engine).
+//! Scenario names are the stable CLI surface of `lf-bench run <name>`.
 
 mod area_power;
 mod assoc_sensitivity;

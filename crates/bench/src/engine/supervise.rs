@@ -164,9 +164,7 @@ fn spawn_worker(exe: &Path, sup: &SuperviseConfig, id: u64) -> std::io::Result<C
 /// single-process campaign).
 ///
 /// A drain signal (SIGTERM/SIGINT) reaps the workers, sweeps the leases,
-/// and returns `Err(128 + signal)` — the caller decides whether that
-/// exits the process (one-shot `run`) or merely finishes the request
-/// (the resident server, which still owns a socket to clean up).
+/// and returns `Err(128 + signal)`, the exit code for `run`.
 pub fn run_supervised(
     scenarios: &[&dyn Scenario],
     opts: &EngineOptions,

@@ -1,4 +1,4 @@
-//! Minimal fixed-width table printing for the experiment binaries.
+//! Minimal fixed-width table printing for the experiment scenarios.
 
 /// Formats a speedup factor as a signed percentage (`1.095` → `"+9.5%"`).
 pub fn fmt_pct(factor: f64) -> String {
